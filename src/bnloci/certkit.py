@@ -183,6 +183,13 @@ class GenusConstraint:
         )
 
 
+def _record_int(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError("fact field %s must be an integer, got %r" % (name, value)) from None
+
+
 @dataclass(frozen=True)
 class Fact:
     """A cited non-emptiness fact.
@@ -210,7 +217,7 @@ class Fact:
             raise ValueError("fact rank and section count must be positive")
         if (self.degree is None) == (self.degree_offset_from_genus is None):
             raise ValueError("exactly one of degree / genus offset must be set")
-        if self.level not in _LEVEL_RANK:
+        if not isinstance(self.level, str) or self.level not in _LEVEL_RANK:
             raise ValueError("unknown curve level %r" % (self.level,))
         if not self.citation:
             raise ValueError("every fact must carry a citation")
@@ -261,6 +268,13 @@ class Fact:
 
     @classmethod
     def from_record(cls, record: dict) -> "Fact":
+        if not isinstance(record, dict):
+            raise ValueError("a fact record must be a JSON object, got %r" % (record,))
+        if "n" not in record:
+            raise ValueError("fact record is missing the rank field 'n'")
+        genus = record.get("genus", {})
+        if not isinstance(genus, dict):
+            raise ValueError("fact field genus must be a JSON object, got %r" % (genus,))
         kind = record.get("kind")
         raw_d = record.get("d")
         degree = None
@@ -274,7 +288,7 @@ class Fact:
         elif raw_d is None:
             raise ValueError("fact record is missing the degree field 'd'")
         else:
-            degree = int(raw_d)
+            degree = _record_int(raw_d, "d")
         sections = record.get("v" if kind == "S" else "k")
         if sections is None:
             sections = record.get("k") if kind == "S" else record.get("v")
@@ -282,12 +296,12 @@ class Fact:
             raise ValueError("fact record is missing the section count")
         return cls(
             kind=kind,
-            n=int(record["n"]),
-            sections=int(sections),
+            n=_record_int(record["n"], "n"),
+            sections=_record_int(sections, "section count"),
             degree=degree,
             degree_offset_from_genus=offset,
             level=record.get("level", "smooth"),
-            genus=GenusConstraint.from_dict(record.get("genus", {})),
+            genus=GenusConstraint.from_dict(genus),
             citation=record.get("citation", ""),
         )
 

@@ -68,10 +68,6 @@ TABLE2_HEADER = "n2,g_min,paper_g_min"
 BNMAP_HEADER = "mu0_num,mu0_den,lambda0_num,lambda0_den,classification"
 EX40_HEADER = "n1,g,d1,k,beta"
 
-#: Scan ceiling for the minimal-genus search, documented in output metadata.
-GENUS_SCAN_CEILING = "10*n2 + 50"
-
-
 @dataclass(frozen=True)
 class RegionBoundary:
     """Sampled upper boundary of a known non-emptiness region.
@@ -143,11 +139,13 @@ def dmax_formula_bpn(n2: int) -> int:
 def dmax_search(
     g: int, locus1: LocusSpec | tuple[int, int, int], n2: int
 ) -> int | None:
-    """Largest d2 >= dmin with negative universal BN number, by direct scan.
+    """Largest d2 >= dmin with negative universal BN number, in closed form.
 
-    The BN number is strictly increasing in d2 here (its d2 coefficient is
-    k*n1 > 0), which the scan asserts; None when already non-negative at the
-    starting degree.
+    The BN number is linear in d2, beta(d2) = beta(0) + k*n1*d2 with
+    k = k1*(n2+1) and slope k*n1 > 0, so the largest negative degree is
+    -(beta(0) // (k*n1)) - 1.  Two exact checks confirm it: beta is negative
+    there and non-negative one degree higher.  None when that degree lies
+    below dmin, which is confirmed by beta(dmin) >= 0.
     """
     if not isinstance(locus1, LocusSpec):
         n, d, k = locus1
@@ -156,23 +154,23 @@ def dmax_search(
         raise ValueError("the first locus needs at least one section")
     k = locus1.k * (n2 + 1)
     b1 = (locus1.bundle.n, locus1.bundle.d)
-    d2 = dmin_formula(g, n2)
-    value = beta_universal(g, b1, (n2, d2), k)
-    if value >= 0:
+    dmin = dmin_formula(g, n2)
+    slope = k * locus1.bundle.n
+    top = -(beta_universal(g, b1, (n2, 0), k) // slope) - 1
+    if top < dmin:
+        if beta_universal(g, b1, (n2, dmin), k) < 0:
+            raise AssertionError("BN number negative at dmin, above the closed form")
         return None
-    while True:
-        nxt = beta_universal(g, b1, (n2, d2 + 1), k)
-        if not nxt > value:
-            raise AssertionError("BN number failed to increase in d2 during the scan")
-        if nxt >= 0:
-            return d2
-        d2 += 1
-        value = nxt
+    at_top = beta_universal(g, b1, (n2, top), k)
+    above = beta_universal(g, b1, (n2, top + 1), k)
+    if not at_top < 0 <= above:
+        raise AssertionError("closed form failed the direct check at d2 and d2+1")
+    return top
 
 
 def table2_min_genus(n2: int) -> int | None:
     """Minimal genus g >= max(n2+2, 2) making the fixed-family BN number
-    negative at d2 = dmin_formula(g, n2), by ascending scan.
+    negative at d2 = dmin_formula(g, n2), by ascending scan from that floor.
 
     The family pairs the locus (2, 5, 2) with the dual span family of rank n2
     and section count 2*(n2+1).  Returns None when the scan ceiling
@@ -182,13 +180,9 @@ def table2_min_genus(n2: int) -> int | None:
         raise ValueError("the sweep is stated for n2 >= 2")
     k = 2 * (n2 + 1)
     ceiling = 10 * n2 + 50
-    g = 2
-    while g <= ceiling:
-        if g >= n2 + 2:
-            d2 = dmin_formula(g, n2)
-            if beta_universal(g, (2, 5), (n2, d2), k) < 0:
-                return g
-        g += 1
+    for g in range(n2 + 2, ceiling + 1):
+        if beta_universal(g, (2, 5), (n2, dmin_formula(g, n2)), k) < 0:
+            return g
     return None
 
 

@@ -229,6 +229,30 @@ def test_facts_add_without_citation_rejected(capsys, tmp_path):
     assert "citation" in err
 
 
+def _assert_one_line_usage_error(capsys, tmp_path, record):
+    path = tmp_path / "facts.json"
+    code, out, err = run(capsys, ["facts", "add", record, "--facts", str(path)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_facts_add_missing_rank_is_usage_error(capsys, tmp_path):
+    record = json.dumps({"kind": "B", "d": 14, "k": 4, "citation": "x"})
+    err = _assert_one_line_usage_error(capsys, tmp_path, record)
+    assert "'n'" in err
+
+
+def test_facts_add_non_object_record_is_usage_error(capsys, tmp_path):
+    err = _assert_one_line_usage_error(capsys, tmp_path, "[1]")
+    assert "JSON object" in err
+
+
+def test_facts_add_invalid_json_is_usage_error(capsys, tmp_path):
+    _assert_one_line_usage_error(capsys, tmp_path, "{kind: B")
+
+
 def test_facts_env_var_default(capsys, tmp_path, monkeypatch):
     path = tmp_path / "facts.json"
     record = json.dumps(

@@ -4,6 +4,8 @@ classification."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnloci.bncalc import SlopePoint, beta_classical, beta_universal
 from bnloci.sweeps import (
@@ -67,6 +69,40 @@ def test_dmax_search_none_when_never_negative():
     assert dmax_search(3, (1, 0, 1), 2) is None
 
 
+def _dmax_by_scan(g, locus1, n2):
+    """Reference: walk d2 up from dmin one degree at a time."""
+    n1, d1, k1 = locus1
+    k = k1 * (n2 + 1)
+    d2 = dmin_formula(g, n2)
+    if beta_universal(g, (n1, d1), (n2, d2), k) >= 0:
+        return None
+    while beta_universal(g, (n1, d1), (n2, d2 + 1), k) < 0:
+        d2 += 1
+    return d2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=st.integers(2, 20),
+    n1=st.integers(1, 8),
+    d1=st.integers(-20, 120),
+    k1=st.integers(1, 10),
+    n2=st.integers(1, 500),
+)
+def test_dmax_search_closed_form_matches_scan(g, n1, d1, k1, n2):
+    # about half of these draws are None cases
+    assert dmax_search(g, (n1, d1, k1), n2) == _dmax_by_scan(g, (n1, d1, k1), n2)
+
+
+def test_dmax_search_argument_errors():
+    with pytest.raises(ValueError):
+        dmax_search(10, (6, 22, 0), 3)
+    with pytest.raises(ValueError):
+        dmax_search(10, (6, 22, 7), 0)
+    with pytest.raises(ValueError):
+        dmax_search(1, (6, 22, 7), 3)
+
+
 def test_table2_min_genus_reproduces_published_column():
     assert [table2_min_genus(n2) for n2 in range(2, 11)] == [
         9, 7, 6, 7, 8, 9, 10, 11, 12,
@@ -74,6 +110,21 @@ def test_table2_min_genus_reproduces_published_column():
     assert [TABLE2_PRINTED[n2] for n2 in range(2, 11)] == [
         9, 7, 6, 7, 8, 9, 10, 11, 12,
     ]
+
+
+def _table2_min_genus_by_scan(n2):
+    """Reference: every genus from 2 up, skipping those below the rank floor."""
+    k = 2 * (n2 + 1)
+    for g in range(2, 10 * n2 + 51):
+        if g >= n2 + 2:
+            if beta_universal(g, (2, 5), (n2, dmin_formula(g, n2)), k) < 0:
+                return g
+    return None
+
+
+def test_table2_min_genus_matches_scan_from_genus_two():
+    for n2 in range(2, 601):
+        assert table2_min_genus(n2) == _table2_min_genus_by_scan(n2)
 
 
 def test_table2_rank_floor_binds_at_rank5():
@@ -101,6 +152,21 @@ def test_ex40_d1_range_values():
         lower_ok = beta_classical(2, 1, d1, 3) >= 0
         negative = beta_universal(2, (2, d1), (2, d1), k) < 0
         assert in_window == (lower_ok and negative)
+
+
+def test_ex40_d1_range_matches_direct_evaluation():
+    for g in range(2, 40):
+        for n1 in range(2, 8):
+            k = (n1 + 1) * (n1 + 1)
+            expected = []
+            d1 = -5
+            # beta_universal is increasing in d1, so the window ends at the
+            # first non-negative value
+            while beta_universal(g, (n1, d1), (n1, d1), k) < 0:
+                if beta_classical(g, 1, d1, n1 + 1) >= 0:
+                    expected.append(d1)
+                d1 += 1
+            assert list(ex40_d1_range(g, n1)) == expected, (g, n1)
 
 
 def test_ex2_min_genus_values():
