@@ -7,7 +7,6 @@ point anywhere in the engine.
 
 from .exactnum import (
     ALWAYS_NEGATIVE,
-    Rational,
     ceil_ratio,
     floor_ratio,
     make_rational,
@@ -59,7 +58,6 @@ from .certkit import (
     certify_t9,
     certify_t10,
     cor_t3_d1_range,
-    max_k_psi,
     petri_dls_cases,
     revalidate,
     s_nonempty,

@@ -25,11 +25,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .bncalc import (
-    BundleSpec,
     LocusSpec,
+    _locus,
     beta_classical,
     beta_twisted,
     beta_universal,
@@ -38,8 +38,14 @@ from .bncalc import (
     asympt_neg,
     t4_beta_poly,
 )
-from .exactnum import ALWAYS_NEGATIVE, quad_neg_threshold
-from .spanops import CoherentSystemType, dual_span_type, elem_transform_type, r_fold_type
+from .exactnum import ALWAYS_NEGATIVE, ceil_ratio, quad_neg_threshold
+from .spanops import (
+    CoherentSystemType,
+    _cs,
+    dual_span_type,
+    elem_transform_type,
+    r_fold_type,
+)
 
 __all__ = [
     "CurveClass",
@@ -58,11 +64,13 @@ __all__ = [
     "certify_rfold",
     "certify_elem",
     "certify_t9",
-    "max_k_psi",
     "certify_t4",
     "cor_t3_d1_range",
     "certify_t10",
     "certify_c8",
+    "Rule",
+    "RULES",
+    "run_rule",
     "revalidate",
 ]
 
@@ -373,7 +381,8 @@ class FactDatabase:
             return cls()
         path = Path(path)
         if not path.exists():
-            return cls()
+            # A typo in the path must not silently drop every user fact.
+            raise ValueError("facts file %s does not exist" % path)
         records = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(records, list):
             raise ValueError("facts file must hold a JSON array of fact records")
@@ -391,6 +400,8 @@ class FactDatabase:
             raise ValueError(
                 "fact %s conflicts with a built-in fact" % fact.describe()
             )
+        if fact.key() in {f.key() for f in self._user}:
+            raise ValueError("fact %s is already a user fact" % fact.describe())
         self._user.append(fact)
 
     def facts(self) -> list[Fact]:
@@ -531,15 +542,17 @@ def _finish(
     conclusion: Conclusion,
     beta: int | None,
     hypotheses: list[Hypothesis],
-    subcertificates: list[Certificate],
     witnesses: dict,
     own_level: str,
     curve: CurveClass,
-    notes: list[str],
     inputs: dict,
+    subcertificates: Sequence[Certificate] = (),
+    notes: Sequence[str] = (),
 ) -> Certificate:
-    level = _max_level(own_level, *[s.level_required for s in subcertificates]) \
-        if subcertificates else own_level
+    """The common tail of every rule: the required curve level is the
+    strongest over the node and its sub-certificates, and the node is proved
+    when every hypothesis is checked and every sub-certificate proved."""
+    level = _max_level(own_level, *[s.level_required for s in subcertificates])
     proved = all(h.status == "checked" for h in hypotheses) and all(
         s.status == "proved" for s in subcertificates
     )
@@ -549,25 +562,20 @@ def _finish(
         conclusion=conclusion,
         beta=beta,
         hypotheses=hypotheses,
-        subcertificates=subcertificates,
+        subcertificates=list(subcertificates),
         status="proved" if proved else "conditional",
         witnesses=witnesses,
         level_required=level,
         curve=curve,
-        notes=notes,
+        notes=list(notes),
         inputs=inputs,
     )
 
 
-def _locus(l: LocusSpec | tuple[int, int, int]) -> LocusSpec:
-    if isinstance(l, LocusSpec):
-        return l
-    n, d, k = l
-    return LocusSpec(BundleSpec(n, d), k)
-
-
-def _cs(cs: CoherentSystemType | tuple[int, int, int]) -> CoherentSystemType:
-    return cs if isinstance(cs, CoherentSystemType) else CoherentSystemType(*cs)
+def _inputs(rule: str, *values) -> dict:
+    """The inputs record of a registry rule: its parameters in signature
+    order, each triple as a list."""
+    return dict(zip(RULES[rule].params, values))
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +604,9 @@ def _fact_certificate(fact: Fact, curve: CurveClass) -> Certificate:
         conclusion=conclusion,
         beta=beta,
         hypotheses=[hyp],
-        subcertificates=[],
         witnesses={"beta": beta},
         own_level=fact.level,
         curve=curve,
-        notes=[],
         inputs={
             "kind": fact.kind,
             "n": fact.n,
@@ -647,13 +653,17 @@ def bn_line_nonempty(
         conclusion=conclusion,
         beta=beta,
         hypotheses=[Hypothesis("beta(1,%d,%d) = %d >= 0" % (d, v, beta))],
-        subcertificates=[],
         witnesses={"beta": beta},
         own_level="petri",
         curve=curve,
-        notes=[],
-        inputs={"d": d, "v": v},
+        inputs=_inputs("line", d, v),
     )
+
+
+def _petri_f_bound(g: int, n1: int) -> Fraction:
+    """n1 + g + (n1^2-n1-2)g / (2(n1-1)^2): the degree bound of Petri case
+    "f", which is also the top of c8's Petri window."""
+    return n1 + g + Fraction((n1 * n1 - n1 - 2) * g, 2 * (n1 - 1) * (n1 - 1))
 
 
 def _petri_cases(
@@ -688,7 +698,7 @@ def _petri_cases(
     if d1 <= 2 * n1:
         labels.append("e")
     if n1 >= 2:
-        bound_f = n1 + g + Fraction((n1 * n1 - n1 - 2) * g, 2 * (n1 - 1) * (n1 - 1))
+        bound_f = _petri_f_bound(g, n1)
         if d1 < bound_f or (g % 2 == 1 and d1 == bound_f):
             labels.append("f")
     if d1 >= n1 * ((g + 3 + 1) // 2) + 1:
@@ -749,69 +759,55 @@ def bn_np1_nonempty(
     facts = facts if facts is not None else FactDatabase()
     g = curve.genus
     beta = beta_classical(g, 1, d1, n1 + 1)
-    if curve.satisfies("general"):
-        if beta < 0:
-            _diag(
-                diagnostics,
-                "beta(1,%d,%d) = %d < 0: the locus is empty on a general curve"
-                % (d1, n1 + 1, beta),
-            )
-            return None
+    if not curve.satisfies("petri"):
+        _diag(diagnostics, "no rule certifies B(n,d,n+1) on a merely smooth curve")
+        return None
+    general = curve.satisfies("general")
+    if beta < 0:
+        _diag(
+            diagnostics,
+            "beta(1,%d,%d) = %d < 0: %s" % (
+                d1, n1 + 1, beta,
+                "the locus is empty on a general curve" if general
+                else "empty on any Petri curve",
+            ),
+        )
+        return None
+    hypotheses = [Hypothesis("beta(1,%d,%d) = %d >= 0" % (d1, n1 + 1, beta))]
+    notes = []
+    if general:
         exceptional = g == 2 and d1 == 2 * n1
         strength = "semistable" if exceptional else "stable"
-        notes = []
         if exceptional:
             notes.append(
                 "at genus 2 with d1 = 2*n1 the dual span is strictly semistable; "
                 "only the semistable locus is certified"
             )
-        conclusion = Conclusion(
-            kind="bn", strength=strength, n1=n1, d1=d1, k=n1 + 1
-        )
-        return _finish(
-            rule="np1",
-            citation=CITE_NP1_GENERAL,
-            conclusion=conclusion,
-            beta=beta,
-            hypotheses=[Hypothesis("beta(1,%d,%d) = %d >= 0" % (d1, n1 + 1, beta))],
-            subcertificates=[],
-            witnesses={"beta": beta, "exceptional_genus2": exceptional},
-            own_level="general",
-            curve=curve,
-            notes=notes,
-            inputs={"n1": n1, "d1": d1},
-        )
-    if curve.satisfies("petri"):
-        if beta < 0:
-            _diag(
-                diagnostics,
-                "beta(1,%d,%d) = %d < 0: empty on any Petri curve" % (d1, n1 + 1, beta),
-            )
-            return None
+        citation, level = CITE_NP1_GENERAL, "general"
+        witnesses = {"beta": beta, "exceptional_genus2": exceptional}
+    else:
         labels, used = _petri_cases(curve, n1, d1, facts)
         if not labels:
             _diag(diagnostics, "no known Petri stability case covers this degree")
             return None
-        level = _max_level("petri", *[f.level for f in used]) if used else "petri"
-        conclusion = Conclusion(kind="bn", strength="stable", n1=n1, d1=d1, k=n1 + 1)
-        return _finish(
-            rule="np1",
-            citation=CITE_NP1_PETRI,
-            conclusion=conclusion,
-            beta=beta,
-            hypotheses=[
-                Hypothesis("beta(1,%d,%d) = %d >= 0" % (d1, n1 + 1, beta)),
-                Hypothesis("Petri stability case(s) %s hold" % ",".join(labels)),
-            ],
-            subcertificates=[],
-            witnesses={"beta": beta, "cases": labels},
-            own_level=level,
-            curve=curve,
-            notes=[],
-            inputs={"n1": n1, "d1": d1},
+        hypotheses.append(
+            Hypothesis("Petri stability case(s) %s hold" % ",".join(labels))
         )
-    _diag(diagnostics, "no rule certifies B(n,d,n+1) on a merely smooth curve")
-    return None
+        citation, strength = CITE_NP1_PETRI, "stable"
+        level = _max_level("petri", *[f.level for f in used])
+        witnesses = {"beta": beta, "cases": labels}
+    return _finish(
+        rule="np1",
+        citation=citation,
+        conclusion=Conclusion(kind="bn", strength=strength, n1=n1, d1=d1, k=n1 + 1),
+        beta=beta,
+        hypotheses=hypotheses,
+        witnesses=witnesses,
+        own_level=level,
+        curve=curve,
+        inputs=_inputs("np1", n1, d1),
+        notes=notes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -849,65 +845,52 @@ def s_nonempty(
         return None
     if cs.n == 1:
         beta = beta_classical(g, 1, cs.d, cs.v)
-        if curve.satisfies("general") and beta >= 0:
-            exceptional = g == 2 and cs.d == 2 * (cs.v - 1)
-            strength = "semistable" if exceptional else "stable"
-            notes = []
-            if exceptional:
-                notes.append(
-                    "at genus 2 with d = 2(v-1) the dual span is strictly "
-                    "semistable"
-                )
-            conclusion = Conclusion(
-                kind="s", strength=strength, n1=1, d1=cs.d, k=cs.v
-            )
-            return _finish(
-                rule="s",
-                citation=CITE_S_GENERAL,
-                conclusion=conclusion,
-                beta=beta,
-                hypotheses=[
-                    Hypothesis("beta(1,%d,%d) = %d >= 0" % (cs.d, cs.v, beta))
-                ],
-                subcertificates=[],
-                witnesses={"branch": "rank1-general", "beta": beta},
-                own_level="general",
-                curve=curve,
-                notes=notes,
-                inputs={"cs": [cs.n, cs.d, cs.v]},
-            )
+        general = curve.satisfies("general") and beta >= 0
         c = (cs.d - g + 1) - cs.v
-        if 1 <= c <= g and cs.d >= 2 * g + 2 * c:
-            boundary = cs.d == 2 * g + 2 * c
-            strength = (
-                "semistable" if boundary and curve.hyperelliptic != "no" else "stable"
-            )
+        if general or (1 <= c <= g and cs.d >= 2 * g + 2 * c):
             notes = []
-            if boundary and curve.hyperelliptic != "no":
-                notes.append(
-                    "d = 2g+2c is the boundary case; stability needs a "
-                    "non-hyperelliptic curve"
+            if general:
+                exceptional = g == 2 and cs.d == 2 * (cs.v - 1)
+                strength = "semistable" if exceptional else "stable"
+                if exceptional:
+                    notes.append(
+                        "at genus 2 with d = 2(v-1) the dual span is strictly "
+                        "semistable"
+                    )
+                citation, level = CITE_S_GENERAL, "general"
+                hypotheses = [
+                    Hypothesis("beta(1,%d,%d) = %d >= 0" % (cs.d, cs.v, beta))
+                ]
+                witnesses = {"branch": "rank1-general", "beta": beta}
+            else:
+                boundary = cs.d == 2 * g + 2 * c
+                strength = (
+                    "semistable" if boundary and curve.hyperelliptic != "no" else "stable"
                 )
-            conclusion = Conclusion(
-                kind="s", strength=strength, n1=1, d1=cs.d, k=cs.v
-            )
-            return _finish(
-                rule="s",
-                citation=CITE_MISTRETTA,
-                conclusion=conclusion,
-                beta=beta_classical(g, 1, cs.d, cs.v),
-                hypotheses=[
+                if strength == "semistable":
+                    notes.append(
+                        "d = 2g+2c is the boundary case; stability needs a "
+                        "non-hyperelliptic curve"
+                    )
+                citation, level = CITE_MISTRETTA, "smooth"
+                hypotheses = [
                     Hypothesis(
                         "codimension c = (d-g+1) - v = %d lies in [1, %d]" % (c, g)
                     ),
                     Hypothesis("d = %d >= 2g+2c = %d" % (cs.d, 2 * g + 2 * c)),
-                ],
-                subcertificates=[],
-                witnesses={"branch": "rank1-mistretta", "c": c},
-                own_level="smooth",
+                ]
+                witnesses = {"branch": "rank1-mistretta", "c": c}
+            return _finish(
+                rule="s",
+                citation=citation,
+                conclusion=Conclusion(kind="s", strength=strength, n1=1, d1=cs.d, k=cs.v),
+                beta=beta,
+                hypotheses=hypotheses,
+                witnesses=witnesses,
+                own_level=level,
                 curve=curve,
+                inputs=_inputs("s", [cs.n, cs.d, cs.v]),
                 notes=notes,
-                inputs={"cs": [cs.n, cs.d, cs.v]},
             )
     fact = facts.find_s(g, cs.n, cs.d, cs.v)
     if fact is not None:
@@ -962,6 +945,112 @@ CITE_ELEM = (
 )
 
 
+def _dual_span_rule(
+    rule: str,
+    curve: CurveClass,
+    locus1: LocusSpec | tuple[int, int, int],
+    cs: CoherentSystemType | tuple[int, int, int],
+    r: int | None,
+    facts: FactDatabase | None,
+    diagnostics: Optional[list[str]],
+) -> Certificate | None:
+    """Shared body of phi, rfold and elem: E1 in B(n1, d1, k1) paired with
+    the dual span of a generated system (n, d, v) under the slope condition
+    n*d1 < n1*d, which forces h^0(E* tensor E1) = 0.
+
+    elem alone checks (v-n) | d, after v > n (so v - n is never zero) and
+    before the slope condition, and needs both sub-certificates stable; it
+    stops before S(n, d, v) when E1 is not stable.
+    """
+    locus1 = _locus(locus1)
+    cs = _cs(cs)
+    facts = facts if facts is not None else FactDatabase()
+    if r is not None and r < 1:
+        raise ValueError("fold count must be positive, got %r" % (r,))
+    elem = rule == "elem"
+    n1, d1, k1 = locus1.bundle.n, locus1.bundle.d, locus1.k
+    if cs.v <= cs.n:
+        _diag(diagnostics, "the generated system must have v > n")
+        return None
+    if elem and cs.d % (cs.v - cs.n) != 0:
+        _diag(
+            diagnostics,
+            "elementary transformation requires (v-n) | d, got d=%d, v-n=%d"
+            % (cs.d, cs.v - cs.n),
+        )
+        return None
+    if not cs.n * d1 < n1 * cs.d:
+        _diag(
+            diagnostics,
+            "slope condition fails: need n*d1 < n1*d, got %d >= %d"
+            % (cs.n * d1, n1 * cs.d),
+        )
+        return None
+    sub_b = _certify_b(curve, n1, d1, k1, facts, diagnostics)
+    if sub_b is None:
+        return None
+    if elem and sub_b.conclusion.strength != "stable":
+        _diag(diagnostics, "the elementary transformation needs a stable E1")
+        return None
+    sub_s = s_nonempty(curve, cs, facts, diagnostics=diagnostics)
+    if sub_s is None:
+        return None
+    if elem and sub_s.conclusion.strength != "stable":
+        _diag(diagnostics, "the elementary transformation needs stable dual spans")
+        return None
+    hypotheses = [
+        Hypothesis("degree divisibility (v-n) | d: %d | %d" % (cs.v - cs.n, cs.d))
+        if elem
+        else Hypothesis("generated system has v = %d > n = %d" % (cs.v, cs.n)),
+        Hypothesis("slope condition n*d1 = %d < n1*d = %d" % (cs.n * d1, n1 * cs.d)),
+    ]
+    notes = []
+    if rule == "phi":
+        citation, target = CITE_PHI, dual_span_type(cs)
+        strength = _min_strength(sub_b.conclusion.strength, sub_s.conclusion.strength)
+    elif rule == "rfold":
+        citation, target, strength = CITE_RFOLD, r_fold_type(cs, r), "semistable"
+        notes.append(
+            "direct sums are strictly semistable; only the semistable locus "
+            "is certified"
+        )
+    else:
+        citation, target, strength = CITE_ELEM, elem_transform_type(cs, r), "stable"
+        if r >= 2:
+            hypotheses.append(
+                Hypothesis(
+                    "the %d chosen coherent systems have pairwise non-isomorphic "
+                    "dual spans" % r,
+                    status="assumed",
+                )
+            )
+    n2, d2, k2 = target.bundle.n, target.bundle.d, target.k
+    k = k1 * k2
+    beta = beta_universal(curve.genus, (n1, d1), (n2, d2), k)
+    witnesses = {"k": k, "k2": k2}
+    args = [[n1, d1, k1], [cs.n, cs.d, cs.v]]
+    if r is not None:
+        witnesses["r"] = r
+        args.append(r)
+    witnesses.update(beta=beta, beta_negative=beta < 0)
+    conclusion = Conclusion(
+        kind="universal", strength=strength, n1=n1, d1=d1, n2=n2, d2=d2, k=k
+    )
+    return _finish(
+        rule=rule,
+        citation=citation,
+        conclusion=conclusion,
+        beta=beta,
+        hypotheses=hypotheses,
+        subcertificates=[sub_b, sub_s],
+        witnesses=witnesses,
+        own_level="smooth",
+        curve=curve,
+        notes=notes,
+        inputs=_inputs(rule, *args),
+    )
+
+
 def certify_phi(
     curve: CurveClass,
     locus1: LocusSpec | tuple[int, int, int],
@@ -976,53 +1065,7 @@ def certify_phi(
     slope condition n*d1 < n1*d which forces h^0(E* tensor E1) = 0.  The
     conclusion has k = k1*v sections and the minimum of the sub-strengths.
     """
-    locus1 = _locus(locus1)
-    cs = _cs(cs)
-    facts = facts if facts is not None else FactDatabase()
-    n1, d1, k1 = locus1.bundle.n, locus1.bundle.d, locus1.k
-    g = curve.genus
-    if cs.v <= cs.n:
-        _diag(diagnostics, "the generated system must have v > n")
-        return None
-    if not cs.n * d1 < n1 * cs.d:
-        _diag(
-            diagnostics,
-            "slope condition fails: need n*d1 < n1*d, got %d >= %d"
-            % (cs.n * d1, n1 * cs.d),
-        )
-        return None
-    sub_b = _certify_b(curve, n1, d1, k1, facts, diagnostics)
-    if sub_b is None:
-        return None
-    sub_s = s_nonempty(curve, cs, facts, diagnostics=diagnostics)
-    if sub_s is None:
-        return None
-    dual = dual_span_type(cs)
-    n2, d2, k2 = dual.bundle.n, dual.bundle.d, dual.k
-    k = k1 * k2
-    beta = beta_universal(g, (n1, d1), (n2, d2), k)
-    strength = _min_strength(sub_b.conclusion.strength, sub_s.conclusion.strength)
-    conclusion = Conclusion(
-        kind="universal", strength=strength, n1=n1, d1=d1, n2=n2, d2=d2, k=k
-    )
-    return _finish(
-        rule="phi",
-        citation=CITE_PHI,
-        conclusion=conclusion,
-        beta=beta,
-        hypotheses=[
-            Hypothesis("generated system has v = %d > n = %d" % (cs.v, cs.n)),
-            Hypothesis(
-                "slope condition n*d1 = %d < n1*d = %d" % (cs.n * d1, n1 * cs.d)
-            ),
-        ],
-        subcertificates=[sub_b, sub_s],
-        witnesses={"k": k, "k2": k2, "beta": beta, "beta_negative": beta < 0},
-        own_level="smooth",
-        curve=curve,
-        notes=[],
-        inputs={"locus1": [n1, d1, k1], "cs": [cs.n, cs.d, cs.v]},
-    )
+    return _dual_span_rule("phi", curve, locus1, cs, None, facts, diagnostics)
 
 
 def certify_rfold(
@@ -1036,55 +1079,7 @@ def certify_rfold(
 ) -> Certificate | None:
     """Certify the semistable universal locus for the r-fold sum of a dual
     span.  The conclusion is always semistable-only."""
-    locus1 = _locus(locus1)
-    cs = _cs(cs)
-    facts = facts if facts is not None else FactDatabase()
-    if r < 1:
-        raise ValueError("fold count must be positive, got %r" % (r,))
-    n1, d1, k1 = locus1.bundle.n, locus1.bundle.d, locus1.k
-    g = curve.genus
-    if cs.v <= cs.n:
-        _diag(diagnostics, "the generated system must have v > n")
-        return None
-    if not cs.n * d1 < n1 * cs.d:
-        _diag(
-            diagnostics,
-            "slope condition fails: need n*d1 < n1*d, got %d >= %d"
-            % (cs.n * d1, n1 * cs.d),
-        )
-        return None
-    sub_b = _certify_b(curve, n1, d1, k1, facts, diagnostics)
-    if sub_b is None:
-        return None
-    sub_s = s_nonempty(curve, cs, facts, diagnostics=diagnostics)
-    if sub_s is None:
-        return None
-    target = r_fold_type(cs, r)
-    n2, d2, k2 = target.bundle.n, target.bundle.d, target.k
-    k = k1 * k2
-    beta = beta_universal(g, (n1, d1), (n2, d2), k)
-    conclusion = Conclusion(
-        kind="universal", strength="semistable", n1=n1, d1=d1, n2=n2, d2=d2, k=k
-    )
-    return _finish(
-        rule="rfold",
-        citation=CITE_RFOLD,
-        conclusion=conclusion,
-        beta=beta,
-        hypotheses=[
-            Hypothesis("generated system has v = %d > n = %d" % (cs.v, cs.n)),
-            Hypothesis(
-                "slope condition n*d1 = %d < n1*d = %d" % (cs.n * d1, n1 * cs.d)
-            ),
-        ],
-        subcertificates=[sub_b, sub_s],
-        witnesses={"k": k, "k2": k2, "r": r, "beta": beta, "beta_negative": beta < 0},
-        own_level="smooth",
-        curve=curve,
-        notes=["direct sums are strictly semistable; only the semistable locus "
-               "is certified"],
-        inputs={"locus1": [n1, d1, k1], "cs": [cs.n, cs.d, cs.v], "r": r},
-    )
+    return _dual_span_rule("rfold", curve, locus1, cs, r, facts, diagnostics)
 
 
 def certify_elem(
@@ -1103,76 +1098,7 @@ def certify_elem(
     the pairwise-distinctness of the r dual spans is recorded as an assumed
     hypothesis, so the certificate is conditional.
     """
-    locus1 = _locus(locus1)
-    cs = _cs(cs)
-    facts = facts if facts is not None else FactDatabase()
-    if r < 1:
-        raise ValueError("fold count must be positive, got %r" % (r,))
-    n1, d1, k1 = locus1.bundle.n, locus1.bundle.d, locus1.k
-    g = curve.genus
-    if cs.v <= cs.n:
-        _diag(diagnostics, "the generated system must have v > n")
-        return None
-    if cs.d % (cs.v - cs.n) != 0:
-        _diag(
-            diagnostics,
-            "elementary transformation requires (v-n) | d, got d=%d, v-n=%d"
-            % (cs.d, cs.v - cs.n),
-        )
-        return None
-    if not cs.n * d1 < n1 * cs.d:
-        _diag(
-            diagnostics,
-            "slope condition fails: need n*d1 < n1*d, got %d >= %d"
-            % (cs.n * d1, n1 * cs.d),
-        )
-        return None
-    sub_b = _certify_b(curve, n1, d1, k1, facts, diagnostics)
-    if sub_b is None:
-        return None
-    if sub_b.conclusion.strength != "stable":
-        _diag(diagnostics, "the elementary transformation needs a stable E1")
-        return None
-    sub_s = s_nonempty(curve, cs, facts, diagnostics=diagnostics)
-    if sub_s is None:
-        return None
-    if sub_s.conclusion.strength != "stable":
-        _diag(diagnostics, "the elementary transformation needs stable dual spans")
-        return None
-    target = elem_transform_type(cs, r)
-    n2, d2, k2 = target.bundle.n, target.bundle.d, target.k
-    k = k1 * k2
-    beta = beta_universal(g, (n1, d1), (n2, d2), k)
-    hypotheses = [
-        Hypothesis("degree divisibility (v-n) | d: %d | %d" % (cs.v - cs.n, cs.d)),
-        Hypothesis(
-            "slope condition n*d1 = %d < n1*d = %d" % (cs.n * d1, n1 * cs.d)
-        ),
-    ]
-    if r >= 2:
-        hypotheses.append(
-            Hypothesis(
-                "the %d chosen coherent systems have pairwise non-isomorphic "
-                "dual spans" % r,
-                status="assumed",
-            )
-        )
-    conclusion = Conclusion(
-        kind="universal", strength="stable", n1=n1, d1=d1, n2=n2, d2=d2, k=k
-    )
-    return _finish(
-        rule="elem",
-        citation=CITE_ELEM,
-        conclusion=conclusion,
-        beta=beta,
-        hypotheses=hypotheses,
-        subcertificates=[sub_b, sub_s],
-        witnesses={"k": k, "k2": k2, "r": r, "beta": beta, "beta_negative": beta < 0},
-        own_level="smooth",
-        curve=curve,
-        notes=[],
-        inputs={"locus1": [n1, d1, k1], "cs": [cs.n, cs.d, cs.v], "r": r},
-    )
+    return _dual_span_rule("elem", curve, locus1, cs, r, facts, diagnostics)
 
 
 CITE_T9 = (
@@ -1233,7 +1159,6 @@ def certify_t9(
             Hypothesis("n = %d < v = %d <= d - n*(g-1) = %d" % (n, v, d - n * (g - 1))),
             Hypothesis("slope gap mu1 = %s < mu2 = %s" % (mu1, mu2)),
         ],
-        subcertificates=[],
         witnesses={"k1k2": locus1.k * v, "beta": beta},
         own_level="general",
         curve=curve,
@@ -1243,37 +1168,12 @@ def certify_t9(
             "the upper range for v is taken inclusive; the underlying "
             "generation argument uses the strict form",
         ],
-        inputs={"locus1": [n1, d1, locus1.k], "n": n, "d": d, "v": v},
+        inputs=_inputs("t9", [n1, d1, locus1.k], n, d, v),
     )
 
 
 # ---------------------------------------------------------------------------
 # Kernel-bundle constructions
-
-
-def max_k_psi(
-    g: int,
-    locus1: LocusSpec | tuple[int, int, int],
-    cs: CoherentSystemType | tuple[int, int, int],
-    h1_defect: int = 0,
-) -> int:
-    """Largest certifiable section count for the kernel pairing:
-    v*k1 - chi(E1 tensor E) - m, where m bounds the h^1 defect.
-
-    The value may be non-positive, in which case no certificate is possible;
-    callers clamp at 0.
-    """
-    locus1 = _locus(locus1)
-    cs = _cs(cs)
-    if locus1.k < 1:
-        raise ValueError("k1 must be at least 1")
-    if h1_defect < 0:
-        raise ValueError("h1 defect must be non-negative")
-    return (
-        cs.v * locus1.k
-        - chi_tensor(g, (locus1.bundle.n, locus1.bundle.d), (cs.n, cs.d))
-        - h1_defect
-    )
 
 
 CITE_T4 = (
@@ -1298,10 +1198,11 @@ def certify_t4(
     """Certify the universal locus via the kernel construction with the
     excess parameterisation k = d*(k1-n1) - e, v = d - n*(g-1) - f.
 
-    Checks the window  n(g-1)(k1-n1) + n*d1 + f*k1 <= e < d*(k1-n1), which is
-    exactly the section-count bound together with k >= 1.  Records the
-    eventually-negative flag and the explicit degree threshold beyond which
-    the BN number of the family is negative.
+    Checks the window  n(g-1)(k1-n1) + n*d1 + f*k1 <= e < d*(k1-n1).  The
+    lower end is the section-count bound k <= v*k1 - chi(E1 tensor E), the
+    upper end is k >= 1.  Records the eventually-negative flag and the
+    explicit degree threshold beyond which the BN number of the family is
+    negative.
     """
     facts = facts if facts is not None else FactDatabase()
     if n1 < 2 or k1 <= n1:
@@ -1382,10 +1283,7 @@ def certify_t4(
         },
         own_level="smooth",
         curve=curve,
-        notes=[],
-        inputs={
-            "n1": n1, "d1": d1, "k1": k1, "n": n, "e": e, "f": f, "d": d,
-        },
+        inputs=_inputs("t4", n1, d1, k1, n, e, f, d),
     )
 
 
@@ -1402,21 +1300,58 @@ def cor_t3_d1_range(curve: CurveClass, n1: int) -> range:
     if not curve.satisfies("petri"):
         raise ValueError("the degree window applies to Petri or general curves")
     g = curve.genus
-    from .exactnum import ceil_ratio
-
-    if n1 == 2:
-        lo = 2 + ceil_ratio(2 * g, 3)
-        hi = g + 1
-    elif n1 in (3, 4):
-        lo = n1 + ceil_ratio(n1 * g, n1 + 1)
-        hi = (n1 - 1) * g + 1
-    else:
-        lo = n1 + ceil_ratio(n1 * g, n1 + 1)
-        if curve.satisfies("general") or g >= 2 * n1 - 4:
-            hi = (n1 - 1) * g + 1
-        else:
-            hi = n1 + (3 * g) // 2
+    # At rank 2 the general ends are the rank-2 ones: 2 + ceil(2g/3), g+1.
+    lo = n1 + ceil_ratio(n1 * g, n1 + 1)
+    hi = (n1 - 1) * g + 1
+    if n1 >= 5 and not (curve.satisfies("general") or g >= 2 * n1 - 4):
+        hi = n1 + (3 * g) // 2
     return range(lo, hi + 1)
+
+
+def _kernel_line(
+    curve: CurveClass,
+    n1: int,
+    k1: int,
+    c: int,
+    d: int,
+    diagnostics: Optional[list[str]],
+) -> tuple[str, list[Hypothesis], int] | None:
+    """Shared prelude of t10 and c8: the kernel of a general codimension-c
+    subspace of sections of a degree-d line bundle (Mistretta).
+
+    Raises unless k1 > n1 >= 2 and 1 <= c <= g.  Returns None when
+    d < 2g+2c; otherwise the strength the kernel supports (semistable at the
+    boundary d = 2g+2c unless the curve is known non-hyperelliptic), the
+    codimension and degree hypotheses, and the kernel rank d-g-c, which
+    d >= 2g+2c makes at least g+c >= 3.
+    """
+    if n1 < 2 or k1 <= n1:
+        raise ValueError("requires k1 > n1 >= 2, got k1=%r n1=%r" % (k1, n1))
+    g = curve.genus
+    if not 1 <= c <= g:
+        raise ValueError("codimension c must lie in [1, g], got %r" % (c,))
+    degree_floor = 2 * g + 2 * c
+    if d < degree_floor:
+        _diag(
+            diagnostics,
+            "degree condition fails: need d >= 2g+2c = %d, got d=%d"
+            % (degree_floor, d),
+        )
+        return None
+    boundary = d == degree_floor
+    mistretta_strength = (
+        "semistable" if boundary and curve.hyperelliptic != "no" else "stable"
+    )
+    degree_hyp = (
+        "d = %d > 2g+2c = %d" % (d, degree_floor)
+        if not boundary
+        else "d = %d = 2g+2c (boundary case)" % (d,)
+    )
+    hypotheses = [
+        Hypothesis("codimension c = %d lies in [1, %d]" % (c, g)),
+        Hypothesis(degree_hyp),
+    ]
+    return mistretta_strength, hypotheses, d - g - c
 
 
 CITE_T10 = (
@@ -1446,20 +1381,11 @@ def certify_t10(
     k <= (d-g+1)(k1-n1) - c*k1 - d1, and B(n1, d1, k1) must be certified.
     """
     facts = facts if facts is not None else FactDatabase()
-    if n1 < 2 or k1 <= n1:
-        raise ValueError("requires k1 > n1 >= 2, got k1=%r n1=%r" % (k1, n1))
-    g = curve.genus
-    if not 1 <= c <= g:
-        raise ValueError("codimension c must lie in [1, g], got %r" % (c,))
-    degree_floor = 2 * g + 2 * c
-    if d < degree_floor:
-        _diag(
-            diagnostics,
-            "degree condition fails: need d >= 2g+2c = %d, got d=%d"
-            % (degree_floor, d),
-        )
+    line = _kernel_line(curve, n1, k1, c, d, diagnostics)
+    if line is None:
         return None
-    boundary = d == degree_floor
+    mistretta_strength, hypotheses, n2 = line
+    g = curve.genus
     max_k = (d - g + 1) * (k1 - n1) - c * k1 - d1
     if not k <= max_k:
         _diag(
@@ -1470,23 +1396,16 @@ def certify_t10(
     if k < 1:
         _diag(diagnostics, "section count k must be at least 1")
         return None
-    n2 = d - g - c
     d2 = -d
-    if n2 < 1:
-        _diag(diagnostics, "kernel rank d-g-c = %d is not positive" % (n2,))
-        return None
     sub_b = _certify_b(curve, n1, d1, k1, facts, diagnostics)
     if sub_b is None:
         return None
-    mistretta_strength = (
-        "semistable" if boundary and curve.hyperelliptic != "no" else "stable"
-    )
     strength = _min_strength(sub_b.conclusion.strength, mistretta_strength)
     e = d * (k1 - n1) - k
     e_bound = (g - 1) * (k1 - n1) + c * k1 + d1
     beta = beta_universal(g, (n1, d1), (n2, d2), k)
     notes = []
-    if boundary and curve.hyperelliptic != "no":
+    if mistretta_strength == "semistable":
         notes.append(
             "d = 2g+2c is the boundary case; the conclusion is semistable "
             "unless the curve is non-hyperelliptic"
@@ -1494,19 +1413,12 @@ def certify_t10(
     conclusion = Conclusion(
         kind="universal", strength=strength, n1=n1, d1=d1, n2=n2, d2=d2, k=k
     )
-    degree_hyp = (
-        "d = %d > 2g+2c = %d" % (d, degree_floor)
-        if not boundary
-        else "d = %d = 2g+2c (boundary case)" % (d,)
-    )
     return _finish(
         rule="t10",
         citation=CITE_T10,
         conclusion=conclusion,
         beta=beta,
-        hypotheses=[
-            Hypothesis("codimension c = %d lies in [1, %d]" % (c, g)),
-            Hypothesis(degree_hyp),
+        hypotheses=hypotheses + [
             Hypothesis("section bound k = %d <= %d" % (k, max_k)),
             Hypothesis("kernel rank d-g-c = %d >= 1" % (n2,)),
         ],
@@ -1525,9 +1437,7 @@ def certify_t10(
         own_level="smooth",
         curve=curve,
         notes=notes,
-        inputs={
-            "n1": n1, "d1": d1, "k1": k1, "c": c, "d": d, "k": k,
-        },
+        inputs=_inputs("t10", n1, d1, k1, c, d, k),
     )
 
 
@@ -1562,192 +1472,152 @@ def certify_c8(
     existence is taken from the fact database or recorded as assumed.
     """
     facts = facts if facts is not None else FactDatabase()
-    if n1 < 2 or k1 <= n1:
-        raise ValueError("requires k1 > n1 >= 2, got k1=%r n1=%r" % (k1, n1))
-    g = curve.genus
-    if not 1 <= c <= g:
-        raise ValueError("codimension c must lie in [1, g], got %r" % (c,))
-    degree_floor = 2 * g + 2 * c
-    if d < degree_floor:
-        _diag(
-            diagnostics,
-            "degree condition fails: need d >= 2g+2c = %d, got d=%d"
-            % (degree_floor, d),
-        )
+    line = _kernel_line(curve, n1, k1, c, d, diagnostics)
+    if line is None:
         return None
-    boundary = d == degree_floor
+    mistretta_strength, hypotheses, n2 = line
+    g = curve.genus
     k = d * (k1 - n1) - e
     if k < 1:
         _diag(diagnostics, "excess too large: k = d*(k1-n1) - e = %d < 1" % (k,))
         return None
-    n2 = d - g - c
     d2 = -d
-    if n2 < 1:
-        _diag(diagnostics, "kernel rank d-g-c = %d is not positive" % (n2,))
-        return None
-
-    mistretta_strength = (
-        "semistable" if boundary and curve.hyperelliptic != "no" else "stable"
-    )
-    e_bound_i = (g - 1) * (k1 - n1) + c * k1 + d1
     beta = beta_universal(g, (n1, d1), (n2, d2), k)
-    flag = asympt_neg(g, n1, d1, k1)
-    base_witnesses = {
+    witnesses = {
         "k": k,
         "e": e,
         "beta": beta,
         "beta_negative": beta < 0,
-        "asympt_neg": flag,
+        "asympt_neg": asympt_neg(g, n1, d1, k1),
     }
-    degree_hyp = (
-        "d = %d > 2g+2c = %d" % (d, degree_floor)
-        if not boundary
-        else "d = %d = 2g+2c (boundary case)" % (d,)
-    )
 
     # Petri-window branch: the first locus is certified outright.
+    sub_b = None
     if k1 == n1 + 1 and curve.satisfies("petri"):
         lower = line_bn_degree_bound(g, n1)
-        upper = n1 + g + Fraction((n1 * n1 - n1 - 2) * g, 2 * (n1 - 1) * (n1 - 1))
-        e_bound_ii = g - 1 + c * (n1 + 1) + d1
-        if lower <= d1 and d1 < upper and e >= e_bound_ii:
+        upper = _petri_f_bound(g, n1)
+        e_bound = g - 1 + c * (n1 + 1) + d1
+        if lower <= d1 and d1 < upper and e >= e_bound:
             sub_b = bn_np1_nonempty(curve, n1, d1, facts, diagnostics=diagnostics)
-            if sub_b is not None:
-                strength = _min_strength(
-                    sub_b.conclusion.strength, mistretta_strength
-                )
-                conclusion = Conclusion(
-                    kind="universal", strength=strength,
-                    n1=n1, d1=d1, n2=n2, d2=d2, k=k,
-                )
-                witnesses = dict(base_witnesses)
-                witnesses.update({"branch": "petri-window", "e_lower_bound": e_bound_ii})
-                return _finish(
-                    rule="c8",
-                    citation=CITE_C8_II,
-                    conclusion=conclusion,
-                    beta=beta,
-                    hypotheses=[
-                        Hypothesis("codimension c = %d lies in [1, %d]" % (c, g)),
-                        Hypothesis(degree_hyp),
-                        Hypothesis(
-                            "degree window %s <= d1 = %d < %s" % (lower, d1, upper)
-                        ),
-                        Hypothesis("excess bound e = %d >= %d" % (e, e_bound_ii)),
-                    ],
-                    subcertificates=[sub_b],
-                    witnesses=witnesses,
-                    own_level="petri",
-                    curve=curve,
-                    notes=[],
-                    inputs={
-                        "n1": n1, "d1": d1, "k1": k1, "c": c, "d": d, "e": e,
-                    },
-                )
-
-    # Non-divisibility branch.
-    if d1 % n1 == 0:
-        _diag(
-            diagnostics,
-            "no branch applies: d1 = %d is divisible by n1 = %d and the "
-            "Petri-window branch did not fire" % (d1, n1),
-        )
-        return None
-    if e < e_bound_i:
-        _diag(
-            diagnostics,
-            "excess bound fails: need e >= %d, got e=%d" % (e_bound_i, e),
-        )
-        return None
-    hypotheses = [
-        Hypothesis("codimension c = %d lies in [1, %d]" % (c, g)),
-        Hypothesis(degree_hyp),
-        Hypothesis("d1 = %d is not divisible by n1 = %d" % (d1, n1)),
-        Hypothesis("excess bound e = %d >= %d" % (e, e_bound_i)),
-    ]
-    subcerts: list[Certificate] = []
-    sub_b = _certify_b(curve, n1, d1, k1, facts, None)
-    b_strength = "stable"
     if sub_b is not None:
-        subcerts.append(sub_b)
-        b_strength = sub_b.conclusion.strength
+        branch, citation, own_level = "petri-window", CITE_C8_II, "petri"
+        hypotheses += [
+            Hypothesis("degree window %s <= d1 = %d < %s" % (lower, d1, upper)),
+            Hypothesis("excess bound e = %d >= %d" % (e, e_bound)),
+        ]
     else:
-        hypotheses.append(
-            Hypothesis("B(%d,%d,%d) is nonempty" % (n1, d1, k1), status="assumed")
-        )
-    strength = _min_strength(b_strength, mistretta_strength)
+        # Non-divisibility branch.
+        branch, citation, own_level = "non-divisible", CITE_C8_I, "smooth"
+        e_bound = (g - 1) * (k1 - n1) + c * k1 + d1
+        if d1 % n1 == 0:
+            _diag(
+                diagnostics,
+                "no branch applies: d1 = %d is divisible by n1 = %d and the "
+                "Petri-window branch did not fire" % (d1, n1),
+            )
+            return None
+        if e < e_bound:
+            _diag(
+                diagnostics,
+                "excess bound fails: need e >= %d, got e=%d" % (e_bound, e),
+            )
+            return None
+        hypotheses += [
+            Hypothesis("d1 = %d is not divisible by n1 = %d" % (d1, n1)),
+            Hypothesis("excess bound e = %d >= %d" % (e, e_bound)),
+        ]
+        sub_b = _certify_b(curve, n1, d1, k1, facts, None)
+        if sub_b is None:
+            hypotheses.append(
+                Hypothesis("B(%d,%d,%d) is nonempty" % (n1, d1, k1), status="assumed")
+            )
+    b_strength = "stable" if sub_b is None else sub_b.conclusion.strength
     conclusion = Conclusion(
-        kind="universal", strength=strength, n1=n1, d1=d1, n2=n2, d2=d2, k=k
+        kind="universal", strength=_min_strength(b_strength, mistretta_strength),
+        n1=n1, d1=d1, n2=n2, d2=d2, k=k,
     )
-    witnesses = dict(base_witnesses)
-    witnesses.update({"branch": "non-divisible", "e_lower_bound": e_bound_i})
+    witnesses.update({"branch": branch, "e_lower_bound": e_bound})
     return _finish(
         rule="c8",
-        citation=CITE_C8_I,
+        citation=citation,
         conclusion=conclusion,
         beta=beta,
         hypotheses=hypotheses,
-        subcertificates=subcerts,
+        subcertificates=[] if sub_b is None else [sub_b],
         witnesses=witnesses,
-        own_level="smooth",
+        own_level=own_level,
         curve=curve,
-        notes=[],
-        inputs={"n1": n1, "d1": d1, "k1": k1, "c": c, "d": d, "e": e},
+        inputs=_inputs("c8", n1, d1, k1, c, d, e),
     )
 
 
 # ---------------------------------------------------------------------------
-# Revalidation
+# Rule registry and revalidation
 
 
-def _rerun_fact(curve: CurveClass, facts: FactDatabase, inputs: dict):
-    kinds = (inputs["kind"],)
-    for fact in facts.facts():
-        if fact.kind in kinds and fact.matches(
-            curve.genus, inputs["n"], inputs["d"], inputs["sections"]
-        ):
-            return _fact_certificate(fact, curve)
-    return None
+@dataclass(frozen=True)
+class Rule:
+    """One certificate rule.
+
+    `function` names the certkit function that runs it; `params` are that
+    function's parameters after the curve, in signature order, and also the
+    keys of the certificate's inputs record; `triples` are the params that
+    hold n,d,k triples; `facts` says whether the function takes the fact
+    database after them.
+    """
+
+    name: str
+    function: str
+    params: tuple[str, ...]
+    triples: tuple[str, ...] = ()
+    facts: bool = True
 
 
-_RULE_RUNNERS = {
-    "line": lambda curve, facts, inp: bn_line_nonempty(curve, inp["d"], inp["v"]),
-    "np1": lambda curve, facts, inp: bn_np1_nonempty(
-        curve, inp["n1"], inp["d1"], facts
-    ),
-    "s": lambda curve, facts, inp: s_nonempty(curve, tuple(inp["cs"]), facts),
-    "fact": _rerun_fact,
-    "phi": lambda curve, facts, inp: certify_phi(
-        curve, tuple(inp["locus1"]), tuple(inp["cs"]), facts
-    ),
-    "rfold": lambda curve, facts, inp: certify_rfold(
-        curve, tuple(inp["locus1"]), tuple(inp["cs"]), inp["r"], facts
-    ),
-    "elem": lambda curve, facts, inp: certify_elem(
-        curve, tuple(inp["locus1"]), tuple(inp["cs"]), inp["r"], facts
-    ),
-    "t9": lambda curve, facts, inp: certify_t9(
-        curve, tuple(inp["locus1"]), inp["n"], inp["d"], inp["v"]
-    ),
-    "t4": lambda curve, facts, inp: certify_t4(
-        curve, inp["n1"], inp["d1"], inp["k1"], inp["n"], inp["e"], inp["f"],
-        inp["d"], facts,
-    ),
-    "t10": lambda curve, facts, inp: certify_t10(
-        curve, inp["n1"], inp["d1"], inp["k1"], inp["c"], inp["d"], inp["k"], facts
-    ),
-    "c8": lambda curve, facts, inp: certify_c8(
-        curve, inp["n1"], inp["d1"], inp["k1"], inp["c"], inp["d"], inp["e"], facts
-    ),
-}
+RULES: dict[str, Rule] = {rule.name: rule for rule in (
+    Rule("phi", "certify_phi", ("locus1", "cs"), ("locus1", "cs")),
+    Rule("rfold", "certify_rfold", ("locus1", "cs", "r"), ("locus1", "cs")),
+    Rule("elem", "certify_elem", ("locus1", "cs", "r"), ("locus1", "cs")),
+    Rule("t9", "certify_t9", ("locus1", "n", "d", "v"), ("locus1",), facts=False),
+    Rule("t4", "certify_t4", ("n1", "d1", "k1", "n", "e", "f", "d")),
+    Rule("t10", "certify_t10", ("n1", "d1", "k1", "c", "d", "k")),
+    Rule("c8", "certify_c8", ("n1", "d1", "k1", "c", "d", "e")),
+    Rule("np1", "bn_np1_nonempty", ("n1", "d1")),
+    Rule("s", "s_nonempty", ("cs",), ("cs",)),
+    Rule("line", "bn_line_nonempty", ("d", "v"), facts=False),
+)}
+
+
+def run_rule(
+    name: str,
+    curve: CurveClass,
+    inputs: dict,
+    facts: FactDatabase | None = None,
+    *,
+    diagnostics: Optional[list[str]] = None,
+) -> Certificate | None:
+    """Run a registry rule on an inputs record (one value per param, triples
+    as lists or tuples).  The function is looked up on this module at call
+    time, so a wrapper installed there sees the call."""
+    rule = RULES[name]
+    args = [tuple(inputs[p]) if p in rule.triples else inputs[p] for p in rule.params]
+    if rule.facts:
+        args.append(facts)
+    return globals()[rule.function](curve, *args, diagnostics=diagnostics)
 
 
 def revalidate(cert: Certificate, facts: FactDatabase | None = None) -> bool:
     """Re-run the producing rule from the certificate's stored inputs and
     compare the full serialized trees.  True only on exact agreement."""
     facts = facts if facts is not None else FactDatabase()
-    runner = _RULE_RUNNERS.get(cert.rule)
-    if runner is None:
+    inputs = cert.inputs
+    if cert.rule == "fact":
+        fact = facts._find(
+            (inputs["kind"],), cert.curve.genus, inputs["n"], inputs["d"],
+            inputs["sections"],
+        )
+        fresh = None if fact is None else _fact_certificate(fact, cert.curve)
+    elif cert.rule in RULES:
+        fresh = run_rule(cert.rule, cert.curve, inputs, facts)
+    else:
         return False
-    fresh = runner(cert.curve, facts, dict(cert.inputs))
     return fresh is not None and fresh.to_dict() == cert.to_dict()

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .bncalc import (
     beta_classical,
@@ -26,9 +25,14 @@ from .bncalc import (
     universal_neg_criterion,
 )
 from .certkit import (
+    RULES as RULE_TABLE,
     CurveClass,
     Fact,
     FactDatabase,
+    run_rule,
+)
+# The rule entry points stay module globals of cli for bnbench/tracing.py.
+from .certkit import (  # noqa: F401
     certify_c8,
     certify_elem,
     certify_phi,
@@ -54,7 +58,12 @@ from .sweeps import (
 
 FACTS_ENV = "BNLOCI_FACTS"
 
-RULES = ("phi", "rfold", "elem", "t9", "t4", "t10", "c8", "np1", "s")
+# Every registry rule except "line", which only backs sub-certificates.
+RULES = tuple(name for name in RULE_TABLE if name != "line")
+TRIPLE_HELP = {
+    "locus1": "n,d,k of the first locus",
+    "cs": "n,d,v of the generated coherent system",
+}
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -80,30 +89,8 @@ def _parse_span(text: str) -> range:
     return range(value, value + 1)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation options.
-
-    The curve is present only for certification runs; genus validation
-    happens inside CurveClass, unknown flags never reach this point because
-    argparse rejects them first.
-    """
-
-    curve: CurveClass | None = None
-    output_format: str = "text"
-    facts_path: str | None = None
-    boundary_path: str | None = None
-
-
-def _config(args) -> RunConfig:
-    facts_path = getattr(args, "facts", None) or os.environ.get(FACTS_ENV) or None
-    curve_text = getattr(args, "curve", None)
-    return RunConfig(
-        curve=CurveClass.parse(curve_text) if curve_text else None,
-        output_format=getattr(args, "format", "text"),
-        facts_path=facts_path,
-        boundary_path=getattr(args, "boundary", None),
-    )
+def _facts_path(args) -> str | None:
+    return args.facts or os.environ.get(FACTS_ENV) or None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,19 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("rule", choices=RULES)
     p_cert.add_argument("--curve", required=True,
                         help="level:genus[,hyp|nonhyp], e.g. general:7")
-    p_cert.add_argument("--locus1", help="n,d,k of the first locus")
-    p_cert.add_argument("--cs", help="n,d,v of the generated coherent system")
-    p_cert.add_argument("--r", type=int)
-    p_cert.add_argument("--n", type=int)
-    p_cert.add_argument("--d", type=int)
-    p_cert.add_argument("--v", type=int)
-    p_cert.add_argument("--n1", type=int)
-    p_cert.add_argument("--d1", type=int)
-    p_cert.add_argument("--k1", type=int)
-    p_cert.add_argument("--c", type=int)
-    p_cert.add_argument("--e", type=int)
-    p_cert.add_argument("--f", type=int)
-    p_cert.add_argument("--k", type=int)
+    triples = {p for rule in RULES for p in RULE_TABLE[rule].triples}
+    for flag in dict.fromkeys(p for rule in RULES for p in RULE_TABLE[rule].params):
+        if flag in triples:
+            p_cert.add_argument("--" + flag, help=TRIPLE_HELP[flag])
+        else:
+            p_cert.add_argument("--" + flag, type=int)
     p_cert.add_argument("--facts")
     p_cert.set_defaults(func=_cmd_certify)
 
@@ -196,78 +176,23 @@ def _cmd_beta(args) -> int:
     return 0
 
 
-def _require(args, names: tuple[str, ...]) -> bool:
-    missing = [n for n in names if getattr(args, n) is None]
+def _cmd_certify(args) -> int:
+    curve = CurveClass.parse(args.curve)
+    facts = FactDatabase.load(_facts_path(args))
+    rule = RULE_TABLE[args.rule]
+    missing = [p for p in rule.params if getattr(args, p) is None]
     if missing:
         print(
             "rule %r needs --%s" % (args.rule, ", --".join(missing)),
             file=sys.stderr,
         )
-        return False
-    return True
-
-
-def _cmd_certify(args) -> int:
-    config = _config(args)
-    curve = config.curve
-    facts = FactDatabase.load(config.facts_path)
+        return 2
+    inputs = {
+        p: _parse_triple(getattr(args, p)) if p in rule.triples else getattr(args, p)
+        for p in rule.params
+    }
     diagnostics: list[str] = []
-    rule = args.rule
-    if rule in ("phi", "rfold", "elem"):
-        needed = ("locus1", "cs") if rule == "phi" else ("locus1", "cs", "r")
-        if not _require(args, needed):
-            return 2
-        kwargs = {
-            "locus1": _parse_triple(args.locus1),
-            "cs": _parse_triple(args.cs),
-            "facts": facts,
-        }
-        if rule == "phi":
-            cert = certify_phi(curve, diagnostics=diagnostics, **kwargs)
-        elif rule == "rfold":
-            cert = certify_rfold(curve, r=args.r, diagnostics=diagnostics, **kwargs)
-        else:
-            cert = certify_elem(curve, r=args.r, diagnostics=diagnostics, **kwargs)
-    elif rule == "t9":
-        if not _require(args, ("locus1", "n", "d", "v")):
-            return 2
-        cert = certify_t9(
-            curve, _parse_triple(args.locus1), args.n, args.d, args.v,
-            diagnostics=diagnostics,
-        )
-    elif rule == "t4":
-        if not _require(args, ("n1", "d1", "k1", "n", "e", "f", "d")):
-            return 2
-        cert = certify_t4(
-            curve, args.n1, args.d1, args.k1, args.n, args.e, args.f, args.d,
-            facts, diagnostics=diagnostics,
-        )
-    elif rule == "t10":
-        if not _require(args, ("n1", "d1", "k1", "c", "d", "k")):
-            return 2
-        cert = certify_t10(
-            curve, args.n1, args.d1, args.k1, args.c, args.d, args.k,
-            facts, diagnostics=diagnostics,
-        )
-    elif rule == "c8":
-        if not _require(args, ("n1", "d1", "k1", "c", "d", "e")):
-            return 2
-        cert = certify_c8(
-            curve, args.n1, args.d1, args.k1, args.c, args.d, args.e,
-            facts, diagnostics=diagnostics,
-        )
-    elif rule == "np1":
-        if not _require(args, ("n1", "d1")):
-            return 2
-        cert = bn_np1_nonempty(
-            curve, args.n1, args.d1, facts, diagnostics=diagnostics
-        )
-    else:  # "s"
-        if not _require(args, ("cs",)):
-            return 2
-        cert = s_nonempty(
-            curve, _parse_triple(args.cs), facts, diagnostics=diagnostics
-        )
+    cert = run_rule(args.rule, curve, inputs, facts, diagnostics=diagnostics)
     if cert is None:
         for line in diagnostics:
             print(line, file=sys.stderr)
@@ -298,10 +223,9 @@ def _cmd_sweep(args) -> int:
         if args.n2 is None:
             print("sweep bnmap needs --n2", file=sys.stderr)
             return 2
-        config = _config(args)
         boundary = None
-        if config.boundary_path:
-            boundary = RegionBoundary.from_csv(config.boundary_path, args.g)
+        if args.boundary:
+            boundary = RegionBoundary.from_csv(args.boundary, args.g)
         rows = bnmap_rows(
             args.g, _parse_triple(args.locus1), _parse_span(args.n2), boundary
         )
@@ -310,12 +234,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_facts(args) -> int:
-    config = _config(args)
-    path = config.facts_path
-    db = FactDatabase.load(path)
+    path = _facts_path(args)
     if args.action == "list":
-        facts = db.facts()
-        if config.output_format == "json":
+        facts = FactDatabase.load(path).facts()
+        if args.format == "json":
             print(json.dumps([f.to_record() for f in facts], indent=2))
         else:
             for fact in facts:
@@ -336,6 +258,8 @@ def _cmd_facts(args) -> int:
             file=sys.stderr,
         )
         return 2
+    # add creates the facts file; every other path needs it to exist.
+    db = FactDatabase.load(path) if os.path.exists(path) else FactDatabase()
     record = json.loads(args.record)
     fact = Fact.from_record(record)
     db.add(fact)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Union
 
 __all__ = [
-    "Rational",
     "make_rational",
     "ceil_ratio",
     "floor_ratio",
@@ -22,13 +21,6 @@ __all__ = [
     "QuadThreshold",
     "quad_neg_threshold",
 ]
-
-#: Exact rational type used throughout the package.  ``fractions.Fraction``
-#: already maintains the canonical form we need: positive denominator, sign
-#: on the numerator, gcd-reduced after every operation, total order by
-#: cross-multiplication.
-Rational = Fraction
-
 
 def make_rational(num: int, den: int) -> Fraction:
     """Build a rational in canonical form.

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from bnloci.bncalc import beta_classical, beta_universal
+from bnloci.bncalc import beta_classical, beta_universal, chi_tensor
 from bnloci.certkit import (
     BUILTIN_FACTS,
     CurveClass,
@@ -23,7 +23,6 @@ from bnloci.certkit import (
     certify_t9,
     certify_t10,
     cor_t3_d1_range,
-    max_k_psi,
     petri_dls_cases,
     revalidate,
     s_nonempty,
@@ -297,10 +296,36 @@ def test_t9_example_and_gates():
 # Kernel rules
 
 
-def test_max_k_psi_values():
-    assert max_k_psi(6, (2, 10, 5), (1, 10, 5)) == 5
-    assert max_k_psi(6, (2, 10, 5), (1, 26, 17)) == 33
-    assert max_k_psi(6, (2, 10, 5), (1, 10, 5), h1_defect=25) <= 0
+def _t4_section_bound(g, n1, d1, k1, n, f, d):
+    """v*k1 - chi(E1 tensor E), the largest k the kernel pairing supports."""
+    v = d - n * (g - 1) - f
+    return v * k1 - chi_tensor(g, (n1, d1), (n, d))
+
+
+def test_t4_fires_exactly_at_the_section_count_bound(facts):
+    # The worked example's family: everything but the excess window holds,
+    # so the rule fires exactly when k = d*(k1-n1) - e is within the bound.
+    curve = CurveClass(3, "general")
+    n1, d1, k1, n, f, d = 2, 4, 3, 1, 0, 12
+    bound = _t4_section_bound(3, n1, d1, k1, n, f, d)
+    assert bound == 6
+    for e in range(d * (k1 - n1)):
+        k = d * (k1 - n1) - e
+        cert = certify_t4(curve, n1, d1, k1, n, e, f, d, facts)
+        assert (cert is not None) == (k <= bound), e
+        assert cert is None or cert.witnesses["k"] == k
+    # The window's lower end is the same inequality on a grid.
+    for g in (2, 3, 6):
+        for n1, k1, d1 in ((2, 3, 4), (2, 5, 10), (3, 5, 7)):
+            for n, f, d in ((1, 0, 10), (2, 1, 15), (1, 3, 20)):
+                for e in range(-5, d * (k1 - n1)):
+                    diagnostics = []
+                    certify_t4(CurveClass(g, "general"), n1, d1, k1, n, e, f, d,
+                               facts, diagnostics=diagnostics)
+                    lower_fails = any(m.startswith("excess window lower bound fails")
+                                      for m in diagnostics)
+                    k = d * (k1 - n1) - e
+                    assert lower_fails == (k > _t4_section_bound(g, n1, d1, k1, n, f, d))
 
 
 def test_t4_worked_example(facts):

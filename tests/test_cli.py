@@ -7,6 +7,7 @@ bytes for the data payloads and the documented exit-code contract:
 """
 
 import json
+from pathlib import Path
 
 from bnloci.cli import main
 
@@ -285,3 +286,56 @@ def test_certificate_json_rationals_never_decimal(capsys):
                 no_floats(value)
 
     no_floats(cert)
+
+
+def test_certify_missing_facts_file_is_usage_error(capsys, tmp_path):
+    code, out, err = run(
+        capsys, ["certify", "s", "--curve", "smooth:6", "--cs", "1,26,17",
+                 "--facts", str(tmp_path / "typo.json")],
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "typo.json" in err
+
+
+def test_facts_list_missing_facts_file_is_usage_error(capsys, tmp_path, monkeypatch):
+    missing = str(tmp_path / "nope.json")
+    code, out, err = run(capsys, ["facts", "list", "--facts", missing])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "nope.json" in err
+    # the environment variable is a read path too
+    monkeypatch.setenv("BNLOCI_FACTS", missing)
+    code, out, err = run(capsys, ["facts", "list"])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert not (tmp_path / "nope.json").exists()
+
+
+def test_facts_add_duplicate_user_fact_rejected(capsys, tmp_path):
+    path = tmp_path / "facts.json"
+    record = json.dumps({"kind": "B", "n": 3, "d": 14, "k": 4, "citation": "x"})
+    code, _, _ = run(capsys, ["facts", "add", record, "--facts", str(path)])
+    assert code == 0
+    saved = path.read_bytes()
+    code, out, err = run(capsys, ["facts", "add", record, "--facts", str(path)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "B(3,14,4)" in err
+    assert path.read_bytes() == saved
+    assert len(json.loads(saved)) == 1
+
+
+def test_readme_rule_table_matches_registry():
+    """The README's "Rules and their parameters" table lists exactly the
+    CLI's certify rules, each with its flags in parameter order."""
+    from bnloci.certkit import RULES as RULE_TABLE
+    from bnloci.cli import RULES
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("Rules and their parameters:", 1)[1].lstrip("\n")
+    rows = section[:section.index("\n\n")].splitlines()
+    table = {}
+    for row in rows[2:]:  # below the header and its separator
+        rule, _, params = [cell.strip() for cell in row.strip("|").split("|")]
+        flags = [word[2:] for word in params.replace("`", " ").split()
+                 if word.startswith("--")]
+        table[rule.strip("`")] = flags
+    assert table == {rule: list(RULE_TABLE[rule].params) for rule in RULES}
