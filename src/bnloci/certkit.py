@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -56,6 +57,7 @@ __all__ = [
     "Hypothesis",
     "Conclusion",
     "Certificate",
+    "dumps_indented",
     "bn_line_nonempty",
     "petri_dls_cases",
     "bn_np1_nonempty",
@@ -184,6 +186,12 @@ class GenusConstraint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenusConstraint":
+        for name in ("equals", "min"):
+            # Exact: truncating a bound such as 4.5 would widen the fact.
+            if data.get(name) is not None and type(data[name]) is not int:
+                raise ValueError(
+                    "fact genus %s must be an integer, got %r" % (name, data[name])
+                )
         return cls(
             equals=data.get("equals"),
             minimum=data.get("min"),
@@ -227,6 +235,10 @@ class Fact:
             raise ValueError("exactly one of degree / genus offset must be set")
         if not isinstance(self.level, str) or self.level not in _LEVEL_RANK:
             raise ValueError("unknown curve level %r" % (self.level,))
+        if not isinstance(self.citation, str):
+            raise ValueError(
+                "fact citation must be a string, got %r" % (self.citation,)
+            )
         if not self.citation:
             raise ValueError("every fact must carry a citation")
 
@@ -386,13 +398,19 @@ class FactDatabase:
         records = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(records, list):
             raise ValueError("facts file must hold a JSON array of fact records")
-        return cls([Fact.from_record(r) for r in records])
+        facts = [Fact.from_record(r) for r in records]
+        seen = set()
+        for fact in facts:
+            if fact.key() in seen:
+                raise ValueError(
+                    "facts file %s holds fact %s twice" % (path, fact.describe())
+                )
+            seen.add(fact.key())
+        return cls(facts)
 
     def save(self, path: str | Path) -> None:
         records = [f.to_record() for f in self._user]
-        Path(path).write_text(
-            json.dumps(records, indent=2) + "\n", encoding="utf-8"
-        )
+        Path(path).write_text(dumps_indented(records) + "\n", encoding="utf-8")
 
     def add(self, fact: Fact) -> None:
         builtin_keys = {f.key() for f in self._builtin}
@@ -533,7 +551,60 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return dumps_indented(self.to_dict())
+
+
+# JSON text of each scalar type, looked up by exact type.  The C string
+# encoder is the one json.dumps itself uses with ensure_ascii.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_scalar = _SCALARS.get
+
+
+def _write(value, indent: str) -> str:
+    # Containers look their scalar members up inline: a call per leaf is
+    # most of what the writer would otherwise spend.
+    kind = type(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            text = _scalar(type(item))
+            # encode_basestring_ascii raises TypeError for a non-str key.
+            items.append(
+                encode_basestring_ascii(key) + ": "
+                + (text(item) if text is not None else _write(item, inner))
+            )
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = []
+        for item in value:
+            text = _scalar(type(item))
+            items.append(text(item) if text is not None else _write(item, inner))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    text = _scalar(kind)
+    if text is None:
+        raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+    return text(value)
+
+
+def dumps_indented(value) -> str:
+    """The text of json.dumps(value, indent=2), without the pure-Python
+    encoder that json falls back to whenever indent is set.
+
+    Takes dicts with str keys, lists, tuples (written as lists), str, int,
+    bool and None; anything else, such as a Fraction or a float, raises
+    TypeError.
+    """
+    return _write(value, "")
 
 
 def _finish(

@@ -29,6 +29,7 @@ from .certkit import (
     CurveClass,
     Fact,
     FactDatabase,
+    dumps_indented,
     run_rule,
 )
 # The rule entry points stay module globals of cli for bnbench/tracing.py.
@@ -169,7 +170,7 @@ def _cmd_beta(args) -> int:
                 "beta_negative_criterion": universal_neg_criterion(g, b1, b2, k),
             }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(dumps_indented(payload))
     else:
         for key, val in payload.items():
             print("%s = %s" % (key, str(val).lower() if isinstance(val, bool) else val))
@@ -238,7 +239,7 @@ def _cmd_facts(args) -> int:
     if args.action == "list":
         facts = FactDatabase.load(path).facts()
         if args.format == "json":
-            print(json.dumps([f.to_record() for f in facts], indent=2))
+            print(dumps_indented([f.to_record() for f in facts]))
         else:
             for fact in facts:
                 origin = "builtin" if fact.builtin else "user"

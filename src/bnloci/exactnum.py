@@ -1,10 +1,10 @@
 """Exact integer and rational arithmetic primitives shared by every module.
 
 Slopes, section densities and inequality thresholds are all exact rationals;
-no floating point is used anywhere.  The quadratic threshold finder isolates
-the relevant root by integer bisection on exact values rather than via
-floating-point square roots, so the returned threshold is certified: the
-polynomial is re-evaluated at the preceding integer to confirm minimality.
+no floating point is used anywhere.  The quadratic threshold finder clears
+denominators and places the larger real root with math.isqrt, so it works
+on integers throughout; the returned threshold is certified by evaluating
+the polynomial exactly at it and at the preceding integer.
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ def quad_neg_threshold(
     Returns ALWAYS_NEGATIVE when the polynomial is negative at every integer
     (so that no minimal t exists) and None when there is no such t at all
     (positive leading coefficient, or an eventually non-negative tail).
-    Minimality of a returned t is certified by checking that the value at
-    t - 1 is >= 0.
+    The value is checked exactly to be negative at a returned t and
+    non-negative at t - 1.
     """
-    a2 = Fraction(a2)
-    a1 = Fraction(a1)
-    a0 = Fraction(a0)
+    # Scaling by the positive lcm of the denominators keeps every sign.
+    scale = math.lcm(a2.denominator, a1.denominator, a0.denominator)
+    a2, a1, a0 = (c.numerator * (scale // c.denominator) for c in (a2, a1, a0))
 
     if a2 > 0:
         return None
@@ -83,33 +83,24 @@ def quad_neg_threshold(
             return None
         if a1 == 0:
             return ALWAYS_NEGATIVE if a0 < 0 else None
-        # Strictly decreasing line: negative exactly for x > -a0/a1.
-        return math.floor(-a0 / a1) + 1
+        # Strictly decreasing line: negative exactly for x > a0/(-a1).
+        t = a0 // -a1 + 1
+    else:
+        # a2 < 0: a downward parabola, negative everywhere when it has no
+        # real root, else exactly beyond its larger root (a1 + sqrt(disc)) /
+        # (-2*a2).  That root's floor equals (a1 + isqrt(disc)) // (-2*a2),
+        # since no multiple of -2*a2 lies strictly between a1 + isqrt(disc)
+        # and a1 + sqrt(disc).
+        disc = a1 * a1 - 4 * a2 * a0
+        if disc < 0:
+            return ALWAYS_NEGATIVE
+        t = (a1 + math.isqrt(disc)) // (-2 * a2) + 1
 
-    # a2 < 0: downward parabola with maximum at x = -a1/(2*a2).
-    if a0 - a1 * a1 / (4 * a2) < 0:
-        # The maximum itself is negative, hence so is every value.
-        return ALWAYS_NEGATIVE
-
-    def value(x: int) -> Fraction:
+    def value(x: int) -> int:
         return (a2 * x + a1) * x + a0
 
-    vertex = -a1 / (2 * a2)
-    lo = math.ceil(vertex)
-    # The polynomial is strictly decreasing on integers >= lo, so "value < 0"
-    # is an up-set there; locate its first element by doubling then bisection.
-    step = 1
-    hi = lo + step
-    while value(hi) >= 0:
-        step *= 2
-        hi = lo + step
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if value(mid) < 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    t = lo
+    if not value(t) < 0:
+        raise AssertionError("quadratic threshold failed the exact check at t")
     if value(t - 1) < 0:
         # The non-negative hump between the two real roots contains no
         # integer, so the polynomial is negative at every integer.

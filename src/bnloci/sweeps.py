@@ -267,7 +267,9 @@ def table1_rows(
             {
                 "n2": n2,
                 "d_min_formula": dmin_formula(g, n2),
-                "d_max_formula": dmax_formula_bpn(n2) if n2 >= 2 else "",
+                "d_max_formula": (
+                    dmax_formula_bpn(n2) if g == TABLE1_GENUS and n2 >= 2 else ""
+                ),
                 "d_max_direct": direct if direct is not None else "",
                 "paper_d_min": printed[0] if printed else "",
                 "paper_d_max": printed[1] if printed else "",
@@ -314,6 +316,10 @@ def bnmap_rows(
 ) -> list[dict]:
     if not isinstance(locus1, LocusSpec):
         locus1 = LocusSpec.of(*locus1)
+    if boundary is not None and boundary.genus != g:
+        raise ValueError(
+            "boundary is for genus %d, the sweep for genus %d" % (boundary.genus, g)
+        )
     rows = []
     for n2 in n2_values:
         d2 = dmin_formula(g, n2)

@@ -6,6 +6,7 @@ bytes for the data payloads and the documented exit-code contract:
 2 usage errors.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -339,3 +340,115 @@ def test_readme_rule_table_matches_registry():
                  if word.startswith("--")]
         table[rule.strip("`")] = flags
     assert table == {rule: list(RULE_TABLE[rule].params) for rule in RULES}
+
+
+def test_beta_json_bytes(capsys):
+    code, out, _ = run(
+        capsys, ["beta", "universal", "--g", "10", "--b1", "6,22", "--b2", "2,7",
+                 "--k", "21", "--format", "json"],
+    )
+    assert code == 0
+    assert out == '{\n  "beta": -541,\n  "beta_negative_criterion": true\n}\n'
+    code, out, _ = run(
+        capsys, ["beta", "classical", "--g", "10", "--n", "2", "--d", "9",
+                 "--k", "3", "--format", "json"],
+    )
+    assert code == 0 and out == '{\n  "beta": 1\n}\n'
+
+
+# Three records: a non-ASCII citation with quotes, a genus-relative degree
+# with two genus keys, and no genus constraint at all (written as {}).
+FACTS_ADDED = (
+    '{"kind":"B","n":3,"d":14,"k":4,"genus":{"min":4},"level":"general",'
+    '"citation":"Teixidor, \\"rank three\\" — B(3,14,4)"}',
+    '{"kind":"S","n":2,"d":"g+5","v":4,"genus":{"equals":7, "parity":"odd"},'
+    '"citation":"x"}',
+    '{"kind":"Btilde","n":4,"d":"g-1","k":2,"citation":"y"}',
+)
+FACTS_FILE_GOLDEN = """[
+  {
+    "kind": "B",
+    "n": 3,
+    "d": 14,
+    "k": 4,
+    "level": "general",
+    "genus": {
+      "min": 4
+    },
+    "citation": "Teixidor, \\"rank three\\" \\u2014 B(3,14,4)"
+  },
+  {
+    "kind": "S",
+    "n": 2,
+    "d": "g+5",
+    "v": 4,
+    "level": "smooth",
+    "genus": {
+      "equals": 7,
+      "parity": "odd"
+    },
+    "citation": "x"
+  },
+  {
+    "kind": "Btilde",
+    "n": 4,
+    "d": "g-1",
+    "k": 2,
+    "level": "smooth",
+    "genus": {},
+    "citation": "y"
+  }
+]
+"""
+
+
+def test_facts_add_file_and_json_list_bytes(capsys, tmp_path):
+    path = tmp_path / "facts.json"
+    for record in FACTS_ADDED:
+        code, _, _ = run(capsys, ["facts", "add", record, "--facts", str(path)])
+        assert code == 0
+    assert path.read_text(encoding="utf-8") == FACTS_FILE_GOLDEN
+    code, out, _ = run(capsys, ["facts", "list", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9edc1000f22da2396d85352c41fce09e98d76028aa0b2c07d698dc609681f072")
+    code, out, _ = run(
+        capsys, ["facts", "list", "--format", "json", "--facts", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6e90ea024de24458f8bcbc6b6e8341d69d35919f5207d44172b65d5f5b4288fe")
+
+
+def test_facts_file_with_a_repeated_key_is_rejected(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    record = {"kind": "B", "n": 3, "d": 14, "k": 4, "citation": "x"}
+    path.write_text(json.dumps([record, dict(record, citation="y")]),
+                    encoding="utf-8")
+    saved = path.read_bytes()
+    for argv in (["facts", "list"], ["facts", "list", "--format", "json"],
+                 ["certify", "np1", "--curve", "general:10", "--n1", "6",
+                  "--d1", "15"]):
+        code, out, err = run(capsys, argv + ["--facts", str(path)])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "B(3,14,4)" in err
+    other = json.dumps({"kind": "B", "n": 2, "d": 9, "k": 2, "citation": "z"})
+    code, out, err = run(capsys, ["facts", "add", other, "--facts", str(path)])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert path.read_bytes() == saved
+
+
+def test_facts_add_non_string_citation_is_usage_error(capsys, tmp_path):
+    err = _assert_one_line_usage_error(
+        capsys, tmp_path,
+        json.dumps({"kind": "B", "n": 3, "d": 14, "k": 4, "citation": 1.5}))
+    assert "citation" in err
+    assert not (tmp_path / "facts.json").exists()
+
+
+def test_facts_add_non_integer_genus_bound_is_usage_error(capsys, tmp_path):
+    err = _assert_one_line_usage_error(
+        capsys, tmp_path,
+        json.dumps({"kind": "B", "n": 3, "d": 14, "k": 4, "citation": "x",
+                    "genus": {"min": "four"}}))
+    assert "genus min" in err
+    assert not (tmp_path / "facts.json").exists()

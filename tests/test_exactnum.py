@@ -1,10 +1,13 @@
 """Exact arithmetic primitives: canonical rationals, integer ceil/floor
 division, and the certified quadratic negativity threshold."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnloci.exactnum import (
     ALWAYS_NEGATIVE,
@@ -127,3 +130,52 @@ def test_quad_threshold_pointwise_certification():
         # minimality: the preceding integer is not part of the tail
         prev = a2 * (t - 1) ** 2 + a1 * (t - 1) + a0
         assert prev >= 0
+
+
+def _brute_threshold(a2, a1, a0):
+    """quad_neg_threshold by direct evaluation at every integer in a window
+    that holds all real roots (Cauchy's bound), in Fractions."""
+    a2, a1, a0 = Fraction(a2), Fraction(a1), Fraction(a0)
+    if a2 > 0 or (a2 == 0 and a1 > 0) or (a2 == a1 == 0 and a0 >= 0):
+        return None  # the tail is eventually non-negative
+    if a2 != 0:
+        bound = 1 + max(abs(a1 / a2), abs(a0 / a2))
+    elif a1 != 0:
+        bound = abs(a0 / a1)
+    else:
+        bound = Fraction(0)
+    reach = int(bound) + 2
+    non_negative = [x for x in range(-reach, reach + 1)
+                    if a2 * x * x + a1 * x + a0 >= 0]
+    return max(non_negative) + 1 if non_negative else ALWAYS_NEGATIVE
+
+
+COEFFS = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(COEFFS, COEFFS, COEFFS)
+def test_quad_threshold_matches_direct_evaluation(a2, a1, a0):
+    assert quad_neg_threshold(a2, a1, a0) == _brute_threshold(a2, a1, a0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-(10 ** 6), max_value=-1),
+       st.integers(min_value=-(10 ** 6), max_value=10 ** 6),
+       st.integers(min_value=-(10 ** 6), max_value=10 ** 6))
+def test_quad_threshold_is_certified_at_large_coefficients(a2, a1, a0):
+    # Too wide to scan.  The parabola falls on either side of its vertex, so
+    # its values at the integers next to the vertex bound all others, and a
+    # sign change at t past the vertex leaves every later value negative.
+    def value(x):
+        return a2 * x * x + a1 * x + a0
+
+    t = quad_neg_threshold(a2, a1, a0)
+    vertex = Fraction(a1, -2 * a2)
+    if t is ALWAYS_NEGATIVE:
+        assert value(math.floor(vertex)) < 0 and value(math.ceil(vertex)) < 0
+    else:
+        assert t >= vertex and value(t) < 0 <= value(t - 1)

@@ -275,3 +275,24 @@ def test_bnmap_rows_with_boundary():
     header_cols = BNMAP_HEADER.split(",")
     assert set(rows[0]) == set(header_cols)
     assert TABLE1_HEADER.count(",") == 5
+
+
+def test_table1_d_max_formula_only_at_genus_10():
+    # The closed form is the genus-10 one: off genus 10 the column is blank,
+    # beside direct values that differ from it (14, 23, 32 at genus 12).
+    rows = table1_rows(12, (6, 22, 7), range(2, 5))
+    assert [r["d_max_formula"] for r in rows] == ["", "", ""]
+    assert [r["d_max_direct"] for r in rows] == [14, 23, 32]
+    assert [dmax_formula_bpn(n2) for n2 in range(2, 5)] == [10, 17, 24]
+    # at genus 10 every first locus keeps it
+    rows = table1_rows(10, (2, 5, 2), range(1, 5))
+    assert [r["d_max_formula"] for r in rows] == ["", 10, 17, 24]
+    text = rows_to_csv(table1_rows(12, (6, 22, 7), [2]), TABLE1_HEADER)
+    assert text.splitlines()[1] == "2,10,,14,,"
+
+
+def test_bnmap_rows_rejects_boundary_of_another_genus():
+    boundary = RegionBoundary(genus=9, samples=((Fraction(3), Fraction(1)),))
+    with pytest.raises(ValueError, match="genus 9"):
+        bnmap_rows(10, (2, 5, 2), range(5, 6), boundary)
+    assert bnmap_rows(9, (2, 5, 2), range(5, 6), boundary)
