@@ -24,22 +24,15 @@ from .bncalc import (
     dim_excess_criterion,
     leading_coeff_t4,
     line_bn_degree_bound,
-    moduli_dim,
     neg_slope_criterion,
     t4_beta_poly,
     universal_neg_criterion,
 )
 from .spanops import (
     CoherentSystemType,
-    UniversalProblem,
     dual_span_type,
     elem_transform_type,
-    kernel_type,
-    phi_targets,
-    psi_targets,
     r_fold_type,
-    swap_problem,
-    twist_problem,
 )
 from .certkit import (
     BUILTIN_FACTS,
@@ -58,7 +51,6 @@ from .certkit import (
     certify_t9,
     certify_t10,
     cor_t3_d1_range,
-    petri_dls_cases,
     revalidate,
     s_nonempty,
 )

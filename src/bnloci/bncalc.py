@@ -23,7 +23,6 @@ __all__ = [
     "BundleSpec",
     "LocusSpec",
     "SlopePoint",
-    "moduli_dim",
     "beta_classical",
     "beta_universal",
     "beta_twisted",
@@ -98,14 +97,6 @@ def _locus(l: LocusSpec | tuple[int, int, int]) -> LocusSpec:
 def _check_genus(g: int) -> None:
     if g < 2:
         raise ValueError("genus must be at least 2, got %r" % (g,))
-
-
-def moduli_dim(g: int, n: int) -> int:
-    """Dimension n^2(g-1) + 1 of the moduli space of stable bundles."""
-    _check_genus(g)
-    if n < 1:
-        raise ValueError("rank must be positive, got %r" % (n,))
-    return n * n * (g - 1) + 1
 
 
 def beta_classical(g: int, n: int, d: int, k: int) -> int:

@@ -59,7 +59,6 @@ __all__ = [
     "Certificate",
     "dumps_indented",
     "bn_line_nonempty",
-    "petri_dls_cases",
     "bn_np1_nonempty",
     "s_nonempty",
     "certify_phi",
@@ -200,10 +199,10 @@ class GenusConstraint:
 
 
 def _record_int(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError("fact field %s must be an integer, got %r" % (name, value)) from None
+    # Exact: int() would truncate 14.5 and accept "4" or true.
+    if type(value) is not int:
+        raise ValueError("fact field %s must be an integer, got %r" % (name, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -301,10 +300,14 @@ class Fact:
         offset = None
         if isinstance(raw_d, str):
             text = raw_d.replace(" ", "")
-            if not text.startswith("g"):
-                raise ValueError("degree must be an integer or g+offset, got %r" % raw_d)
-            rest = text[1:]
-            offset = int(rest) if rest else 0
+            try:
+                if not text.startswith("g"):
+                    raise ValueError
+                offset = int(text[1:] or 0)
+            except ValueError:
+                raise ValueError(
+                    "fact field d must be an integer or g+offset, got %r" % (raw_d,)
+                ) from None
         elif raw_d is None:
             raise ValueError("fact record is missing the degree field 'd'")
         else:
@@ -478,20 +481,6 @@ class Conclusion:
         if self.strength not in _STRENGTH_RANK:
             raise ValueError("unknown strength %r" % (self.strength,))
 
-    def describe(self) -> str:
-        tilde = "" if self.strength == "stable" else "~"
-        if self.kind == "universal":
-            return "%sB^%d nonempty for (n1,d1)=(%d,%d), (n2,d2)=(%d,%d)" % (
-                tilde, self.k, self.n1, self.d1, self.n2, self.d2,
-            )
-        if self.kind == "bn":
-            return "%sB(%d,%d,%d) nonempty" % (tilde, self.n1, self.d1, self.k)
-        if self.kind == "s":
-            return "%sS(%d,%d,%d) nonempty" % (tilde, self.n1, self.d1, self.k)
-        return "B(%d,%d,%d)(F) nonempty for some F of type (%d,%d)" % (
-            self.n2, self.d2, self.k, self.n1, self.d1,
-        )
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -502,16 +491,6 @@ class Conclusion:
             "k": self.k,
             "strength": self.strength,
         }
-
-
-def _encode(value):
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    if value is ALWAYS_NEGATIVE:
-        return "always"
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
 
 
 @dataclass
@@ -543,7 +522,7 @@ class Certificate:
             ],
             "subcertificates": [s.to_dict() for s in self.subcertificates],
             "status": self.status,
-            "witnesses": {k: _encode(v) for k, v in self.witnesses.items()},
+            "witnesses": dict(self.witnesses),
             "level_required": self.level_required,
             "curve": self.curve.to_dict(),
             "notes": list(self.notes),
@@ -738,8 +717,11 @@ def _petri_f_bound(g: int, n1: int) -> Fraction:
 
 
 def _petri_cases(
-    curve: CurveClass, n1: int, d1: int, facts: FactDatabase | None
+    curve: CurveClass, n1: int, d1: int, facts: FactDatabase
 ) -> tuple[list[str], list[Fact]]:
+    """Labels of the known Petri-curve stability cases satisfied by (n1, d1),
+    n1 >= 2, and the rank-one S facts that cases "c" and "d" used: those two
+    cases quantify over an auxiliary generated linear system."""
     g = curve.genus
     labels: list[str] = []
     used: list[Fact] = []
@@ -747,31 +729,29 @@ def _petri_cases(
         labels.append("a")
     if g >= 2 * n1 - 4:
         labels.append("b")
-    if facts is not None and n1 >= 2:
-        for fact in facts.facts():
-            if fact.kind != "S" or fact.n != 1 or fact.sections != n1 + 1:
-                continue
-            if not fact.genus.matches(g):
-                continue
-            d0 = fact.degree_at(g)
-            if "c" not in labels and d1 > d0 and (d1 - d0) % n1 == 0:
-                labels.append("c")
-                used.append(fact)
-            if (
-                "d" not in labels
-                and d0 % n1 == 0
-                and d0 // n1 >= 1
-                and d1 > d0
-                and (d1 % n1 in (1, n1 - 1))
-            ):
-                labels.append("d")
-                used.append(fact)
+    for fact in facts.facts():
+        if fact.kind != "S" or fact.n != 1 or fact.sections != n1 + 1:
+            continue
+        if not fact.genus.matches(g):
+            continue
+        d0 = fact.degree_at(g)
+        if "c" not in labels and d1 > d0 and (d1 - d0) % n1 == 0:
+            labels.append("c")
+            used.append(fact)
+        if (
+            "d" not in labels
+            and d0 % n1 == 0
+            and d0 // n1 >= 1
+            and d1 > d0
+            and (d1 % n1 in (1, n1 - 1))
+        ):
+            labels.append("d")
+            used.append(fact)
     if d1 <= 2 * n1:
         labels.append("e")
-    if n1 >= 2:
-        bound_f = _petri_f_bound(g, n1)
-        if d1 < bound_f or (g % 2 == 1 and d1 == bound_f):
-            labels.append("f")
+    bound_f = _petri_f_bound(g, n1)
+    if d1 < bound_f or (g % 2 == 1 and d1 == bound_f):
+        labels.append("f")
     if d1 >= n1 * ((g + 3 + 1) // 2) + 1:
         labels.append("g")
     elif g % 2 == 0:
@@ -783,20 +763,6 @@ def _petri_cases(
     order = "abcdefg"
     labels.sort(key=order.index)
     return labels, used
-
-
-def petri_dls_cases(
-    curve: CurveClass, n1: int, d1: int, facts: FactDatabase | None = None
-) -> list[str]:
-    """Labels of the known Petri-curve stability cases satisfied by (n1, d1).
-
-    Cases "c" and "d" quantify over an auxiliary generated linear system and
-    are only evaluated against explicitly supplied rank-one S facts.
-    """
-    if not curve.satisfies("petri"):
-        raise ValueError("the case list applies to Petri or general curves")
-    labels, _ = _petri_cases(curve, n1, d1, facts)
-    return labels
 
 
 CITE_NP1_GENERAL = (
@@ -978,7 +944,7 @@ def _certify_b(
     n1: int,
     d1: int,
     k1: int,
-    facts: FactDatabase | None,
+    facts: FactDatabase,
     diagnostics: Optional[list[str]],
 ) -> Certificate | None:
     """Sub-certificate dispatcher for B(n1, d1, k1)."""
@@ -990,10 +956,9 @@ def _certify_b(
         cert = bn_np1_nonempty(curve, n1, d1, facts, diagnostics=diagnostics)
         if cert is not None:
             return cert
-    if facts is not None:
-        fact = facts.find_b(curve.genus, n1, d1, k1)
-        if fact is not None:
-            return _fact_certificate(fact, curve)
+    fact = facts.find_b(curve.genus, n1, d1, k1)
+    if fact is not None:
+        return _fact_certificate(fact, curve)
     _diag(
         diagnostics,
         "no rule or fact certifies B(%d,%d,%d) on this curve" % (n1, d1, k1),
@@ -1349,7 +1314,9 @@ def certify_t4(
             "beta": beta,
             "beta_negative": beta < 0,
             "beta_poly_in_d": list(poly),
-            "negativity_threshold_d": threshold,
+            "negativity_threshold_d": (
+                "always" if threshold is ALWAYS_NEGATIVE else threshold
+            ),
             "asympt_neg": flag,
         },
         own_level="smooth",
@@ -1365,6 +1332,11 @@ def cor_t3_d1_range(curve: CurveClass, n1: int) -> range:
     [n1 + ceil(n1*g/(n1+1)), (n1-1)*g + 1]; rank >= 5 on a Petri curve stops
     at n1 + floor(3g/2) unless g >= 2*n1 - 4 or the curve is general, in
     which case the full upper end applies.  May be empty.
+
+    This is the corollary's statement of where the examples exist; no rule
+    consults it.  c8's Petri window serves a narrower case: the degrees
+    where Petri case "f" itself certifies B(n1, d1, n1+1).  The lower ends
+    agree (beta(1, d1, n1+1) >= 0), and so do the upper ends at rank 2.
     """
     if n1 < 2:
         raise ValueError("requires n1 >= 2, got %r" % (n1,))
@@ -1541,6 +1513,12 @@ def certify_c8(
     the admissible window, the first-locus existence is itself certified;
     otherwise the non-divisibility branch applies and the first-locus
     existence is taken from the fact database or recorded as assumed.
+
+    The window, line_bn_degree_bound(g, n1) <= d1 < _petri_f_bound(g, n1),
+    serves the case where Petri case "f" certifies B(n1, d1, n1+1) at every
+    d1 in it.  It lies inside cor_t3_d1_range except on a Petri curve of
+    genus 11 at n1 = 8, where it reaches d1 = 25 and the corollary stops at
+    24.
     """
     facts = facts if facts is not None else FactDatabase()
     line = _kernel_line(curve, n1, k1, c, d, diagnostics)

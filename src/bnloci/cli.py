@@ -4,8 +4,8 @@ Exit codes for `certify`: 0 for a proved stable-strength certificate, 3 for
 a certificate that is conditional or semistable-only, 4 when no rule
 applies, 2 for usage errors.  All other subcommands exit 0 on success and 2
 on usage errors.  Output is deterministic: identical inputs produce
-byte-identical output, rationals print as p/q in text and as {num, den}
-pairs in JSON, and no timestamps appear in data payloads.
+byte-identical output, rationals print as p/q and appear in JSON only
+inside hypothesis text, and no timestamps appear in data payloads.
 
 The default facts file may be supplied via the BNLOCI_FACTS environment
 variable; --facts overrides it.
@@ -277,7 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    # RecursionError: json gives up on deeply nested arrays or objects.
+    except (ValueError, OSError, RecursionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

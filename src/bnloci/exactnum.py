@@ -1,10 +1,10 @@
 """Exact integer and rational arithmetic primitives shared by every module.
 
 Slopes, section densities and inequality thresholds are all exact rationals;
-no floating point is used anywhere.  The quadratic threshold finder clears
-denominators and places the larger real root with math.isqrt, so it works
-on integers throughout; the returned threshold is certified by evaluating
-the polynomial exactly at it and at the preceding integer.
+no floating point is used anywhere.  The quadratic threshold finder takes
+integer coefficients and places the larger real root with math.isqrt; the
+returned threshold is certified by evaluating the polynomial exactly at it
+and at the preceding integer.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ ALWAYS_NEGATIVE = _AlwaysNegative()
 QuadThreshold = Union[int, _AlwaysNegative, None]
 
 
-def quad_neg_threshold(
-    a2: int | Fraction, a1: int | Fraction, a0: int | Fraction
-) -> QuadThreshold:
+def quad_neg_threshold(a2: int, a1: int, a0: int) -> QuadThreshold:
     """Least integer t with a2*x^2 + a1*x + a0 < 0 for every integer x >= t.
 
     Returns ALWAYS_NEGATIVE when the polynomial is negative at every integer
@@ -72,10 +70,6 @@ def quad_neg_threshold(
     The value is checked exactly to be negative at a returned t and
     non-negative at t - 1.
     """
-    # Scaling by the positive lcm of the denominators keeps every sign.
-    scale = math.lcm(a2.denominator, a1.denominator, a0.denominator)
-    a2, a1, a0 = (c.numerator * (scale // c.denominator) for c in (a2, a1, a0))
-
     if a2 > 0:
         return None
     if a2 == 0:

@@ -1,4 +1,5 @@
-"""Type arithmetic for dual span and kernel bundles.
+"""Type arithmetic for dual spans, their direct sums and elementary
+transformations.
 
 These operations track only (rank, degree, sections) triples.  They never
 assert existence or stability of any bundle; certkit is the layer that
@@ -12,19 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bncalc import BundleSpec, LocusSpec
+from .bncalc import LocusSpec
 
 __all__ = [
     "CoherentSystemType",
-    "UniversalProblem",
     "dual_span_type",
-    "kernel_type",
     "r_fold_type",
     "elem_transform_type",
-    "phi_targets",
-    "psi_targets",
-    "swap_problem",
-    "twist_problem",
 ]
 
 
@@ -42,16 +37,6 @@ class CoherentSystemType:
             raise ValueError("rank must be positive, got %r" % (self.n,))
         if self.v < 1:
             raise ValueError("section space must be positive, got %r" % (self.v,))
-
-
-@dataclass(frozen=True)
-class UniversalProblem:
-    """A universal twisted locus instance: two bundle types and a section
-    count."""
-
-    b1: BundleSpec
-    b2: BundleSpec
-    k: int
 
 
 def _cs(cs: CoherentSystemType | tuple[int, int, int]) -> CoherentSystemType:
@@ -72,13 +57,6 @@ def dual_span_type(cs: CoherentSystemType | tuple[int, int, int]) -> LocusSpec:
     cs = _cs(cs)
     _require_dual(cs)
     return LocusSpec.of(cs.v - cs.n, cs.d, cs.v)
-
-
-def kernel_type(cs: CoherentSystemType | tuple[int, int, int]) -> BundleSpec:
-    """Kernel (syzygy) bundle of the evaluation map: type (v - n, -d)."""
-    cs = _cs(cs)
-    _require_dual(cs)
-    return BundleSpec(cs.v - cs.n, -cs.d)
 
 
 def r_fold_type(cs: CoherentSystemType | tuple[int, int, int], r: int) -> LocusSpec:
@@ -113,37 +91,3 @@ def elem_transform_type(
         )
     return LocusSpec.of(r * (cs.v - cs.n), r * cs.d + 1, r * cs.v)
 
-
-def phi_targets(
-    b1: BundleSpec | tuple[int, int], cs: CoherentSystemType | tuple[int, int, int]
-) -> tuple[BundleSpec, BundleSpec]:
-    """Target pair (E1, dual span): ((n1, d1), (v - n, d))."""
-    b1 = b1 if isinstance(b1, BundleSpec) else BundleSpec(*b1)
-    cs = _cs(cs)
-    _require_dual(cs)
-    return b1, BundleSpec(cs.v - cs.n, cs.d)
-
-
-def psi_targets(
-    b1: BundleSpec | tuple[int, int], cs: CoherentSystemType | tuple[int, int, int]
-) -> tuple[BundleSpec, BundleSpec]:
-    """Target pair (E1, kernel bundle): ((n1, d1), (v - n, -d))."""
-    b1 = b1 if isinstance(b1, BundleSpec) else BundleSpec(*b1)
-    cs = _cs(cs)
-    _require_dual(cs)
-    return b1, BundleSpec(cs.v - cs.n, -cs.d)
-
-
-def swap_problem(problem: UniversalProblem) -> UniversalProblem:
-    """Exchange the two bundle slots; the BN number is invariant."""
-    return UniversalProblem(problem.b2, problem.b1, problem.k)
-
-
-def twist_problem(problem: UniversalProblem, ell: int) -> UniversalProblem:
-    """Twist by a degree-ell line bundle: (d1, d2) -> (d1 - n1*ell, d2 + n2*ell).
-
-    The BN number is invariant under this substitution.
-    """
-    b1 = BundleSpec(problem.b1.n, problem.b1.d - problem.b1.n * ell)
-    b2 = BundleSpec(problem.b2.n, problem.b2.d + problem.b2.n * ell)
-    return UniversalProblem(b1, b2, problem.k)

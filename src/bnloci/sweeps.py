@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bncalc import LocusSpec, SlopePoint, beta_universal
+from .bncalc import LocusSpec, SlopePoint, _check_genus, _locus, beta_universal
 from .exactnum import ceil_ratio, floor_ratio, make_rational
 
 __all__ = [
@@ -147,9 +148,7 @@ def dmax_search(
     there and non-negative one degree higher.  None when that degree lies
     below dmin, which is confirmed by beta(dmin) >= 0.
     """
-    if not isinstance(locus1, LocusSpec):
-        n, d, k = locus1
-        locus1 = LocusSpec.of(n, d, k)
+    locus1 = _locus(locus1)
     if locus1.k < 1:
         raise ValueError("the first locus needs at least one section")
     k = locus1.k * (n2 + 1)
@@ -192,6 +191,7 @@ def ex40_d1_range(g: int, n1: int) -> range:
     negativity bound."""
     if n1 < 2:
         raise ValueError("requires n1 >= 2, got %r" % (n1,))
+    _check_genus(g)
     lower = n1 + ceil_ratio(n1 * g, n1 + 1)
     np1sq = (n1 + 1) * (n1 + 1)
     upper = (
@@ -199,8 +199,6 @@ def ex40_d1_range(g: int, n1: int) -> range:
         + Fraction(n1, 2) * (1 - Fraction(2 * n1 * n1, np1sq * n1 * n1)) * (g - 1)
         - Fraction(n1, np1sq * n1 * n1)
     )
-    import math
-
     top = math.ceil(upper) - 1  # largest integer strictly below the bound
     return range(lower, top + 1)
 
@@ -219,8 +217,6 @@ def ex2_min_genus(n1: int, n2: int, d2: int) -> int | None:
     mu2 = Fraction(d2, n2)
     # g - 1 > (mu2 + shift) / coeff, strictly.
     bound = (mu2 + shift) / coeff + 1
-    import math
-
     return math.floor(bound) + 1
 
 
@@ -228,10 +224,8 @@ def bnmap_point(
     locus1: LocusSpec | tuple[int, int, int], locus2: LocusSpec | tuple[int, int, int]
 ) -> SlopePoint:
     """Slope-plane image of a pair of loci: (mu1 + mu2, lambda1 * lambda2)."""
-    if not isinstance(locus1, LocusSpec):
-        locus1 = LocusSpec.of(*locus1)
-    if not isinstance(locus2, LocusSpec):
-        locus2 = LocusSpec.of(*locus2)
+    locus1 = _locus(locus1)
+    locus2 = _locus(locus2)
     return SlopePoint(
         mu=locus1.bundle.mu + locus2.bundle.mu,
         lam=locus1.lam * locus2.lam,
@@ -256,8 +250,7 @@ def table1_rows(
     locus1: LocusSpec | tuple[int, int, int],
     n2_values: range | list[int],
 ) -> list[dict]:
-    if not isinstance(locus1, LocusSpec):
-        locus1 = LocusSpec.of(*locus1)
+    locus1 = _locus(locus1)
     canonical = g == TABLE1_GENUS and locus1 == TABLE1_LOCUS
     rows = []
     for n2 in n2_values:
@@ -314,8 +307,8 @@ def bnmap_rows(
     n2_values: range | list[int],
     boundary: RegionBoundary | None = None,
 ) -> list[dict]:
-    if not isinstance(locus1, LocusSpec):
-        locus1 = LocusSpec.of(*locus1)
+    _check_genus(g)
+    locus1 = _locus(locus1)
     if boundary is not None and boundary.genus != g:
         raise ValueError(
             "boundary is for genus %d, the sweep for genus %d" % (boundary.genus, g)

@@ -3,10 +3,13 @@ revalidation.  Frozen numeric witnesses come from direct evaluation of the
 BN-number formulas."""
 
 import json
+import math
 
 import pytest
 
-from bnloci.bncalc import beta_classical, beta_universal, chi_tensor
+from bnloci.bncalc import (
+    beta_classical, beta_universal, chi_tensor, line_bn_degree_bound,
+)
 from bnloci.certkit import (
     BUILTIN_FACTS,
     CurveClass,
@@ -22,8 +25,8 @@ from bnloci.certkit import (
     certify_t4,
     certify_t9,
     certify_t10,
+    _petri_f_bound,
     cor_t3_d1_range,
-    petri_dls_cases,
     revalidate,
     s_nonempty,
 )
@@ -104,17 +107,26 @@ def test_np1_smooth_has_no_rule():
     assert bn_np1_nonempty(CurveClass(10, "smooth"), 6, 15) is None
 
 
-def test_petri_cases_examples():
-    assert "a" in petri_dls_cases(CurveClass(20, "petri"), 3, 25)
-    labels = petri_dls_cases(CurveClass(6, "petri"), 5, 10)
+def _petri_case_labels(curve, n1, d1, facts):
+    cert = bn_np1_nonempty(curve, n1, d1, facts)
+    assert cert is not None and cert.status == "proved"
+    return cert.witnesses["cases"]
+
+
+def test_petri_cases_examples(facts):
+    assert "a" in _petri_case_labels(CurveClass(20, "petri"), 3, 25, facts)
+    labels = _petri_case_labels(CurveClass(6, "petri"), 5, 10, facts)
     assert "b" in labels and "e" in labels
-    assert "g" in petri_dls_cases(CurveClass(5, "petri"), 6, 40)
+    assert "g" in _petri_case_labels(CurveClass(5, "petri"), 6, 40, facts)
 
 
-def test_petri_cases_c_and_d_need_user_facts():
+def test_petri_cases_c_and_d_need_user_facts(facts):
     curve = CurveClass(9, "petri")
-    base = petri_dls_cases(curve, 7, 31)
-    assert "c" not in base and "d" not in base
+    diags = []
+    # no other case covers (7, 31), so without case "c" the rule is silent
+    assert bn_np1_nonempty(curve, 7, 31, facts, diagnostics=diags) is None
+    assert diags == ["no known Petri stability case covers this degree"]
+    assert "d" not in _petri_case_labels(curve, 5, 26, facts)
     db = FactDatabase()
     db.add(
         Fact(
@@ -123,9 +135,9 @@ def test_petri_cases_c_and_d_need_user_facts():
             citation="auxiliary generated system of type (10, 8) with stable dual span",
         )
     )
-    with_facts = petri_dls_cases(curve, 7, 31, db)
+    with_facts = _petri_case_labels(curve, 7, 31, db)
     assert "c" in with_facts  # 31 = 10 + 3*7
-    with_facts_d = petri_dls_cases(curve, 5, 26, _db_with_aux(9, 5))
+    with_facts_d = _petri_case_labels(curve, 5, 26, _db_with_aux(9, 5))
     assert "d" in with_facts_d  # base degree 10 = 2*5, 26 = 1 mod 5
 
 
@@ -277,6 +289,37 @@ def test_elem_divisibility_gate(facts):
     assert any("divisibility" in d or "(v-n)" in d for d in diags)
 
 
+def test_elem_refuses_a_semistable_first_locus(facts):
+    # On genus 2, B(2, 4, 3) is only semistable (d1 = 2*n1), so elem stops
+    # before certifying S; every other certified d1 gives a stable E1.
+    refused = []
+    for d1 in range(2, 12):
+        diags = []
+        cert = certify_elem(CurveClass(2, "general"), (2, d1, 3), (1, 6, 3), 1,
+                            facts, diagnostics=diags)
+        if "the elementary transformation needs a stable E1" in diags:
+            assert cert is None and len(diags) == 1
+            refused.append(d1)
+        elif d1 >= 5:
+            assert cert is not None and cert.status == "proved"
+    assert refused == [4]
+
+
+def test_elem_refuses_a_semistable_dual_span(facts):
+    # On genus 2 the dual span of a (1, 2(v-1), v) system is strictly
+    # semistable, and those are exactly the refused systems.
+    refused = []
+    for d in range(2, 12):
+        for v in range(2, 8):
+            diags = []
+            cert = certify_elem(CurveClass(2, "general"), (1, 3, 2), (1, d, v), 1,
+                                facts, diagnostics=diags)
+            if "the elementary transformation needs stable dual spans" in diags:
+                assert cert is None and len(diags) == 1
+                refused.append((d, v))
+    assert refused == [(4, 3), (6, 4), (8, 5), (10, 6)]
+
+
 # ---------------------------------------------------------------------------
 # Twisted rule
 
@@ -376,6 +419,33 @@ def test_cor_t3_ranges():
     assert petri == range(5 + 5, 5 + 7 + 1)
     with pytest.raises(ValueError):
         cor_t3_d1_range(CurveClass(9, "smooth"), 2)
+
+
+def test_c8_petri_window_against_cor_t3_d1_range(facts):
+    # c8's Petri window, line_bn_degree_bound <= d1 < _petri_f_bound, against
+    # the corollary's list: equal lower ends, equal upper ends at rank 2, and
+    # contained in it except at one pinned point.
+    outside = []
+    for level in ("petri", "general"):
+        for g in range(2, 41):
+            curve = CurveClass(g, level)
+            for n1 in range(2, 9):
+                window = range(math.ceil(line_bn_degree_bound(g, n1)),
+                               math.ceil(_petri_f_bound(g, n1)))
+                listed = cor_t3_d1_range(curve, n1)
+                assert window.start == listed.start
+                if n1 == 2:
+                    assert window.stop == listed.stop
+                if window and window[-1] > listed.stop - 1:
+                    outside.append((level, g, n1, window[-1], listed.stop - 1))
+                # Petri case "f" covers the whole window
+                if level == "petri":
+                    for d1 in window:
+                        assert "f" in _petri_case_labels(curve, n1, d1, facts)
+    assert outside == [("petri", 11, 8, 25, 24)]
+    # and c8 does take its Petri-window branch at that point
+    cert = certify_c8(CurveClass(11, "petri"), 8, 25, 9, 1, 60, 50, facts)
+    assert cert is not None and cert.witnesses["branch"] == "petri-window"
 
 
 def test_t10_worked_example(facts):
@@ -572,17 +642,25 @@ def test_no_stable_conclusion_from_semistable_sub(facts):
 
 def test_conclusion_descriptions(facts):
     phi = certify_phi(CurveClass(7, "general"), (5, 12, 6), (2, 10, 4), facts)
-    assert phi.conclusion.describe() == (
-        "B^24 nonempty for (n1,d1)=(5,12), (n2,d2)=(2,10)"
-    )
+    assert phi.conclusion.to_dict() == {
+        "kind": "universal", "n1": 5, "d1": 12, "n2": 2, "d2": 10, "k": 24,
+        "strength": "stable",
+    }
     np1 = bn_np1_nonempty(CurveClass(2, "general"), 2, 4)
-    assert np1.conclusion.describe() == "~B(2,4,3) nonempty"
+    assert np1.conclusion.to_dict() == {
+        "kind": "bn", "n1": 2, "d1": 4, "n2": None, "d2": None, "k": 3,
+        "strength": "semistable",
+    }
     t9 = certify_t9(CurveClass(4, "general"), (2, 5, 2), 2, 12, 5)
-    assert t9.conclusion.describe() == (
-        "B(3,12,5)(F) nonempty for some F of type (2,5)"
-    )
+    assert t9.conclusion.to_dict() == {
+        "kind": "twisted", "n1": 2, "d1": 5, "n2": 3, "d2": 12, "k": 5,
+        "strength": "stable",
+    }
     s = s_nonempty(CurveClass(6, "general"), (1, 10, 5), facts)
-    assert s.conclusion.describe() == "S(1,10,5) nonempty"
+    assert s.conclusion.to_dict() == {
+        "kind": "s", "n1": 1, "d1": 10, "n2": None, "d2": None, "k": 5,
+        "strength": "stable",
+    }
 
 
 def test_certificate_json_field_names(facts):

@@ -10,6 +10,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from bnloci.cli import main
 
 TABLE2_GOLDEN = """n2,g_min,paper_g_min
@@ -452,3 +454,90 @@ def test_facts_add_non_integer_genus_bound_is_usage_error(capsys, tmp_path):
                     "genus": {"min": "four"}}))
     assert "genus min" in err
     assert not (tmp_path / "facts.json").exists()
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("d", 14.5, "d"), ("k", "4", "section count"), ("n", True, "n"),
+])
+def test_facts_add_rejects_fields_that_are_not_integers(
+        capsys, tmp_path, field, value, name):
+    # int() would store B(3,14,4) for a degree of 14.5 or a count of "4",
+    # and rank 1 for true; the record is refused instead.
+    record = {"kind": "B", "n": 3, "d": 14, "k": 4, "citation": "x"}
+    record[field] = value
+    err = _assert_one_line_usage_error(capsys, tmp_path, json.dumps(record))
+    assert err == "error: fact field %s must be an integer, got %r\n" % (
+        name, value)
+    assert not (tmp_path / "facts.json").exists()
+
+
+def test_facts_add_malformed_genus_offset_names_the_field(capsys, tmp_path):
+    for degree in ("g+x", "h+3"):
+        err = _assert_one_line_usage_error(
+            capsys, tmp_path,
+            json.dumps({"kind": "B", "n": 3, "d": degree, "k": 4,
+                        "citation": "x"}))
+        assert err == (
+            "error: fact field d must be an integer or g+offset, got %r\n"
+            % degree)
+
+
+def test_sweeps_reject_genus_below_two(capsys):
+    for g in ("1", "0", "-5"):
+        for argv in (["sweep", "ex40", "--g", g, "--n1", "3"],
+                     ["sweep", "bnmap", "--g", g, "--n2", "3"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == ""
+            assert err == "error: genus must be at least 2, got %s\n" % g
+
+
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
+    deep = "[" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep, encoding="utf-8")
+    for argv in (["facts", "list", "--facts", str(path)],
+                 ["certify", "np1", "--curve", "general:10", "--n1", "6",
+                  "--d1", "15", "--facts", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "recursion" in err
+    _assert_one_line_usage_error(capsys, tmp_path, deep)
+    assert not (tmp_path / "facts.json").exists()
+
+
+def test_certify_t4_with_assumed_h1_vanishing_is_conditional(capsys, tmp_path):
+    # B(2,2,3) has no rule on genus 6, so it comes from a user fact; the
+    # slope of E1 tensor E is 1 + 8 = 9, not above 2g-2 = 10, so
+    # h^1(E1 tensor E) = 0 is assumed rather than checked.
+    path = tmp_path / "facts.json"
+    record = json.dumps({"kind": "B", "n": 2, "d": 2, "k": 3, "citation": "x"})
+    assert run(capsys, ["facts", "add", record, "--facts", str(path)])[0] == 0
+    code, out, _ = run(
+        capsys, ["certify", "t4", "--curve", "general:6", "--n1", "2",
+                 "--d1", "2", "--k1", "3", "--n", "1", "--e", "7", "--f", "0",
+                 "--d", "8", "--facts", str(path)],
+    )
+    assert code == 3
+    cert = json.loads(out)
+    assert cert["status"] == "conditional"
+    assumed = [h["description"] for h in cert["hypotheses"]
+               if h["status"] == "assumed"]
+    assert assumed == [
+        "there exists E1 in B(2,2,3) with h^1(E1 tensor E) = 0"]
+    assert all(s["status"] == "proved" for s in cert["subcertificates"])
+
+
+def test_readme_library_section_lists_every_export():
+    """Every name that bnloci/__init__.py imports appears in the README's
+    Library section."""
+    import ast
+
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "src" / "bnloci" / "__init__.py").read_text(
+        encoding="utf-8"))
+    exported = [alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert exported
+    assert [name for name in exported if "`%s`" % name not in section] == []

@@ -1,20 +1,14 @@
-"""Type arithmetic for dual spans, kernels, sums, transformations and the
-symmetry moves on universal problems."""
+"""Type arithmetic for dual spans, their direct sums and elementary
+transformations."""
 
 import pytest
 
-from bnloci.bncalc import BundleSpec, LocusSpec, beta_universal
+from bnloci.bncalc import LocusSpec
 from bnloci.spanops import (
     CoherentSystemType,
-    UniversalProblem,
     dual_span_type,
     elem_transform_type,
-    kernel_type,
-    phi_targets,
-    psi_targets,
     r_fold_type,
-    swap_problem,
-    twist_problem,
 )
 
 
@@ -37,15 +31,7 @@ def test_dual_span_requires_more_sections_than_rank():
     with pytest.raises(ValueError):
         dual_span_type((3, 10, 3))
     with pytest.raises(ValueError):
-        kernel_type((3, 10, 2))
-
-
-def test_kernel_type_examples():
-    assert kernel_type((1, 10, 5)) == BundleSpec(4, -10)
-    assert kernel_type((1, 26, 17)) == BundleSpec(16, -26)
-    for n in range(1, 5):
-        for d in range(-6, 7):
-            assert kernel_type((n, d, n + 1)) == BundleSpec(1, -d)
+        r_fold_type((3, 10, 2), 1)
 
 
 def test_dual_span_involution_on_types():
@@ -75,39 +61,3 @@ def test_elem_transform_examples():
     with pytest.raises(ValueError):
         elem_transform_type((1, 10, 5), 2)  # 4 does not divide 10
 
-
-def test_phi_psi_targets():
-    assert phi_targets((2, 5), (1, 9, 3)) == (BundleSpec(2, 5), BundleSpec(2, 9))
-    assert psi_targets((2, 10), (1, 10, 5)) == (BundleSpec(2, 10), BundleSpec(4, -10))
-    for n1, d1 in ((1, 3), (3, -2)):
-        for n, d in ((1, 6), (2, 8)):
-            phi = phi_targets((n1, d1), (n, d, n + 1))
-            assert phi == (BundleSpec(n1, d1), BundleSpec(1, d))
-
-
-def test_swap_and_twist():
-    problem = UniversalProblem(BundleSpec(2, 5), BundleSpec(4, 10), 7)
-    swapped = swap_problem(problem)
-    assert swapped == UniversalProblem(BundleSpec(4, 10), BundleSpec(2, 5), 7)
-    twisted = twist_problem(UniversalProblem(BundleSpec(2, 4), BundleSpec(3, 9), 5), 1)
-    assert twisted == UniversalProblem(BundleSpec(2, 2), BundleSpec(3, 12), 5)
-
-
-def test_beta_invariance_under_swap_and_twist():
-    for g in (2, 3, 5):
-        for n1 in (1, 2, 3):
-            for n2 in (1, 2):
-                for d1 in range(-6, 7, 2):
-                    for d2 in range(-6, 7, 2):
-                        for k in (1, 2, 5):
-                            problem = UniversalProblem(
-                                BundleSpec(n1, d1), BundleSpec(n2, d2), k
-                            )
-                            base = beta_universal(g, problem.b1, problem.b2, k)
-                            other = swap_problem(problem)
-                            assert base == beta_universal(g, other.b1, other.b2, k)
-                            for ell in (-2, 1, 3):
-                                moved = twist_problem(problem, ell)
-                                assert base == beta_universal(
-                                    g, moved.b1, moved.b2, k
-                                )
