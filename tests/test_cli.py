@@ -541,3 +541,23 @@ def test_readme_library_section_lists_every_export():
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     assert exported
     assert [name for name in exported if "`%s`" % name not in section] == []
+
+
+RANK = "error: rank must be positive, got 0\n"
+SECTIONS = "error: section count must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("certify phi --curve general:6 --locus1 0,5,2 --cs 1,12,5", RANK),
+    ("beta universal --g 6 --b1 0,5 --b2 1,1 --k 1", RANK),
+    ("sweep table1 --locus1 0,22,7 --n2 2..3", RANK),
+    ("sweep bnmap --locus1 2,5,-1 --n2 2..3", SECTIONS),
+    ("certify t9 --curve general:4 --locus1 2,5,-1 --n 2 --d 12 --v 5",
+     SECTIONS),
+    ("certify s --curve general:6 --cs 2,5,0",
+     "error: section space must be positive, got 0\n"),
+])
+def test_type_refusal_messages(capsys, argv, err):
+    """Each malformed bundle, locus or coherent-system type is refused with
+    exit 2 and one fixed line on stderr, whichever subcommand reads it."""
+    assert run(capsys, argv.split()) == (2, "", err)
