@@ -13,9 +13,6 @@ from .exactnum import (
     quad_neg_threshold,
 )
 from .bncalc import (
-    BundleSpec,
-    LocusSpec,
-    SlopePoint,
     asympt_neg,
     beta_classical,
     beta_twisted,
@@ -29,7 +26,6 @@ from .bncalc import (
     universal_neg_criterion,
 )
 from .spanops import (
-    CoherentSystemType,
     dual_span_type,
     elem_transform_type,
     r_fold_type,

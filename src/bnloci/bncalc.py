@@ -8,21 +8,19 @@ dimension
 
     beta = dim M1 + dim M2 - k*(k - n2*d1 - n1*d2 + n1*n2*(g-1)),
 
-and the singly-twisted variant drops the dim M2 term.  Slopes mu = d/n and
-section densities lambda = k/n are exact rationals.  Every criterion below is
-a strict inequality evaluated exactly; boundary equality is false for "<"
-criteria.
+and the singly-twisted variant drops the dim M2 term.  A bundle type is a
+plain (n, d) pair of integers and a locus B(n, d, k) an (n, d, k) triple;
+each entry point checks the rank and the section count itself.  Slopes
+mu = d/n and section densities lambda = k/n are exact rationals.  Every
+criterion below is a strict inequality evaluated exactly; boundary equality
+is false for "<" criteria.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "BundleSpec",
-    "LocusSpec",
-    "SlopePoint",
     "beta_classical",
     "beta_universal",
     "beta_twisted",
@@ -37,61 +35,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BundleSpec:
-    """Rank and degree of a vector bundle type."""
-
-    n: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("rank must be positive, got %r" % (self.n,))
-
-    @property
-    def mu(self) -> Fraction:
-        """Slope d/n."""
-        return Fraction(self.d, self.n)
+def _check_rank(n: int) -> None:
+    if n < 1:
+        raise ValueError("rank must be positive, got %r" % (n,))
 
 
-@dataclass(frozen=True)
-class LocusSpec:
-    """A bundle type together with a required number of sections."""
-
-    bundle: BundleSpec
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("section count must be non-negative, got %r" % (self.k,))
-
-    @classmethod
-    def of(cls, n: int, d: int, k: int) -> "LocusSpec":
-        return cls(BundleSpec(n, d), k)
-
-    @property
-    def lam(self) -> Fraction:
-        """Section density k/n."""
-        return Fraction(self.k, self.bundle.n)
+def _check_sections(k: int) -> None:
+    if k < 0:
+        raise ValueError("section count must be non-negative, got %r" % (k,))
 
 
-@dataclass(frozen=True)
-class SlopePoint:
-    """A point (mu, lambda) in the slope / section-density plane."""
-
-    mu: Fraction
-    lam: Fraction
-
-
-def _bundle(b: BundleSpec | tuple[int, int]) -> BundleSpec:
-    return b if isinstance(b, BundleSpec) else BundleSpec(*b)
+def _pair(b1: tuple[int, int], b2: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Unpack two (n, d) bundle types into n1, d1, n2, d2, checking b1's
+    rank, then b2's."""
+    (n1, d1), (n2, d2) = b1, b2
+    _check_rank(n1)
+    _check_rank(n2)
+    return n1, d1, n2, d2
 
 
-def _locus(l: LocusSpec | tuple[int, int, int]) -> LocusSpec:
-    if isinstance(l, LocusSpec):
-        return l
-    n, d, k = l
-    return LocusSpec(BundleSpec(n, d), k)
+def _locus(locus: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Check an (n, d, k) locus type, the rank first, then the section count."""
+    n, d, k = locus
+    _check_rank(n)
+    _check_sections(k)
+    return n, d, k
 
 
 def _check_genus(g: int) -> None:
@@ -105,50 +73,37 @@ def beta_classical(g: int, n: int, d: int, k: int) -> int:
     beta = n^2(g-1) + 1 - k*(k - d + n*(g-1)).
     """
     _check_genus(g)
-    if n < 1:
-        raise ValueError("rank must be positive, got %r" % (n,))
-    if k < 0:
-        raise ValueError("section count must be non-negative, got %r" % (k,))
+    _check_rank(n)
+    _check_sections(k)
     return n * n * (g - 1) + 1 - k * (k - d + n * (g - 1))
 
 
-def beta_universal(
-    g: int, b1: BundleSpec | tuple[int, int], b2: BundleSpec | tuple[int, int], k: int
-) -> int:
+def beta_universal(g: int, b1: tuple[int, int], b2: tuple[int, int], k: int) -> int:
     """BN number of the universal twisted locus for the pair (b1, b2)."""
     _check_genus(g)
-    if k < 0:
-        raise ValueError("section count must be non-negative, got %r" % (k,))
-    b1 = _bundle(b1)
-    b2 = _bundle(b2)
-    dims = (b1.n * b1.n + b2.n * b2.n) * (g - 1) + 2
-    return dims - k * (k - b2.n * b1.d - b1.n * b2.d + b1.n * b2.n * (g - 1))
+    _check_sections(k)
+    n1, d1, n2, d2 = _pair(b1, b2)
+    dims = (n1 * n1 + n2 * n2) * (g - 1) + 2
+    return dims - k * (k - n2 * d1 - n1 * d2 + n1 * n2 * (g - 1))
 
 
-def beta_twisted(
-    g: int, b1: BundleSpec | tuple[int, int], b2: BundleSpec | tuple[int, int], k: int
-) -> int:
+def beta_twisted(g: int, b1: tuple[int, int], b2: tuple[int, int], k: int) -> int:
     """BN number of the twisted locus B(n1, d1, k)(E2): only E1 moves."""
     _check_genus(g)
-    if k < 0:
-        raise ValueError("section count must be non-negative, got %r" % (k,))
-    b1 = _bundle(b1)
-    b2 = _bundle(b2)
-    dim1 = b1.n * b1.n * (g - 1) + 1
-    return dim1 - k * (k - b2.n * b1.d - b1.n * b2.d + b1.n * b2.n * (g - 1))
+    _check_sections(k)
+    n1, d1, n2, d2 = _pair(b1, b2)
+    dim1 = n1 * n1 * (g - 1) + 1
+    return dim1 - k * (k - n2 * d1 - n1 * d2 + n1 * n2 * (g - 1))
 
 
-def chi_tensor(
-    g: int, b1: BundleSpec | tuple[int, int], b2: BundleSpec | tuple[int, int]
-) -> int:
+def chi_tensor(g: int, b1: tuple[int, int], b2: tuple[int, int]) -> int:
     """Euler characteristic of b1 tensor b2 by Riemann-Roch.
 
     Equals h^0 of the tensor product whenever h^1 vanishes.
     """
     _check_genus(g)
-    b1 = _bundle(b1)
-    b2 = _bundle(b2)
-    return b2.n * b1.d + b1.n * b2.d - b1.n * b2.n * (g - 1)
+    n1, d1, n2, d2 = _pair(b1, b2)
+    return n2 * d1 + n1 * d2 - n1 * n2 * (g - 1)
 
 
 def neg_slope_criterion(
@@ -184,18 +139,17 @@ def neg_slope_criterion(
 
 
 def universal_neg_criterion(
-    g: int, b1: BundleSpec | tuple[int, int], b2: BundleSpec | tuple[int, int], k: int
+    g: int, b1: tuple[int, int], b2: tuple[int, int], k: int
 ) -> bool:
     """Negativity criterion in terms of the total section count k = k1*k2.
 
     The inequality only involves k1, k2 through the products k1*k2 and
     k1 n1 k2 n2 = k*n1*n2, so a factorisation of k is not needed.
     """
-    b1 = _bundle(b1)
-    b2 = _bundle(b2)
+    n1, d1, n2, d2 = _pair(b1, b2)
     if k < 1:
         raise ValueError("section count must be at least 1, got %r" % (k,))
-    return neg_slope_criterion(g, b1.n, k, b2.n, 1, b1.mu, b2.mu)
+    return neg_slope_criterion(g, n1, k, n2, 1, Fraction(d1, n1), Fraction(d2, n2))
 
 
 def dim_excess_criterion(
@@ -237,8 +191,7 @@ def line_bn_degree_bound(g: int, n1: int) -> Fraction:
     beta_classical(g, 1, d1, n1+1) >= 0.
     """
     _check_genus(g)
-    if n1 < 1:
-        raise ValueError("rank must be positive, got %r" % (n1,))
+    _check_rank(n1)
     return n1 + Fraction(n1 * g, n1 + 1)
 
 

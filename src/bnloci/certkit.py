@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .bncalc import (
-    LocusSpec,
     _locus,
     beta_classical,
     beta_twisted,
@@ -41,7 +40,6 @@ from .bncalc import (
 )
 from .exactnum import ALWAYS_NEGATIVE, ceil_ratio, quad_neg_threshold
 from .spanops import (
-    CoherentSystemType,
     _cs,
     dual_span_type,
     elem_transform_type,
@@ -864,7 +862,7 @@ CITE_MISTRETTA = (
 
 def s_nonempty(
     curve: CurveClass,
-    cs: CoherentSystemType | tuple[int, int, int],
+    cs: tuple[int, int, int],
     facts: FactDatabase | None = None,
     *,
     diagnostics: Optional[list[str]] = None,
@@ -874,20 +872,20 @@ def s_nonempty(
     Rule order: rank-one systems on a general curve, then rank-one systems
     on any smooth curve with the codimension bound, then the fact database.
     """
-    cs = _cs(cs)
+    n, d, v = _cs(cs)
     facts = facts if facts is not None else FactDatabase()
     g = curve.genus
-    if cs.v <= cs.n:
+    if v <= n:
         _diag(diagnostics, "S(n,d,v) requires v > n")
         return None
-    if cs.n == 1:
-        beta = beta_classical(g, 1, cs.d, cs.v)
+    if n == 1:
+        beta = beta_classical(g, 1, d, v)
         general = curve.satisfies("general") and beta >= 0
-        c = (cs.d - g + 1) - cs.v
-        if general or (1 <= c <= g and cs.d >= 2 * g + 2 * c):
+        c = (d - g + 1) - v
+        if general or (1 <= c <= g and d >= 2 * g + 2 * c):
             notes = []
             if general:
-                exceptional = g == 2 and cs.d == 2 * (cs.v - 1)
+                exceptional = g == 2 and d == 2 * (v - 1)
                 strength = "semistable" if exceptional else "stable"
                 if exceptional:
                     notes.append(
@@ -896,11 +894,11 @@ def s_nonempty(
                     )
                 citation, level = CITE_S_GENERAL, "general"
                 hypotheses = [
-                    Hypothesis("beta(1,%d,%d) = %d >= 0" % (cs.d, cs.v, beta))
+                    Hypothesis("beta(1,%d,%d) = %d >= 0" % (d, v, beta))
                 ]
                 witnesses = {"branch": "rank1-general", "beta": beta}
             else:
-                boundary = cs.d == 2 * g + 2 * c
+                boundary = d == 2 * g + 2 * c
                 strength = (
                     "semistable" if boundary and curve.hyperelliptic != "no" else "stable"
                 )
@@ -914,27 +912,27 @@ def s_nonempty(
                     Hypothesis(
                         "codimension c = (d-g+1) - v = %d lies in [1, %d]" % (c, g)
                     ),
-                    Hypothesis("d = %d >= 2g+2c = %d" % (cs.d, 2 * g + 2 * c)),
+                    Hypothesis("d = %d >= 2g+2c = %d" % (d, 2 * g + 2 * c)),
                 ]
                 witnesses = {"branch": "rank1-mistretta", "c": c}
             return _finish(
                 rule="s",
                 citation=citation,
-                conclusion=Conclusion(kind="s", strength=strength, n1=1, d1=cs.d, k=cs.v),
+                conclusion=Conclusion(kind="s", strength=strength, n1=1, d1=d, k=v),
                 beta=beta,
                 hypotheses=hypotheses,
                 witnesses=witnesses,
                 own_level=level,
                 curve=curve,
-                inputs=_inputs("s", [cs.n, cs.d, cs.v]),
+                inputs=_inputs("s", [n, d, v]),
                 notes=notes,
             )
-    fact = facts.find_s(g, cs.n, cs.d, cs.v)
+    fact = facts.find_s(g, n, d, v)
     if fact is not None:
         return _fact_certificate(fact, curve)
     _diag(
         diagnostics,
-        "no rule or fact certifies S(%d,%d,%d) on this curve" % (cs.n, cs.d, cs.v),
+        "no rule or fact certifies S(%d,%d,%d) on this curve" % (n, d, v),
     )
     return None
 
@@ -984,8 +982,8 @@ CITE_ELEM = (
 def _dual_span_rule(
     rule: str,
     curve: CurveClass,
-    locus1: LocusSpec | tuple[int, int, int],
-    cs: CoherentSystemType | tuple[int, int, int],
+    locus1: tuple[int, int, int],
+    cs: tuple[int, int, int],
     r: int | None,
     facts: FactDatabase | None,
     diagnostics: Optional[list[str]],
@@ -998,28 +996,27 @@ def _dual_span_rule(
     before the slope condition, and needs both sub-certificates stable; it
     stops before S(n, d, v) when E1 is not stable.
     """
-    locus1 = _locus(locus1)
-    cs = _cs(cs)
+    n1, d1, k1 = _locus(locus1)
+    n, d, v = _cs(cs)
     facts = facts if facts is not None else FactDatabase()
     if r is not None and r < 1:
         raise ValueError("fold count must be positive, got %r" % (r,))
     elem = rule == "elem"
-    n1, d1, k1 = locus1.bundle.n, locus1.bundle.d, locus1.k
-    if cs.v <= cs.n:
+    if v <= n:
         _diag(diagnostics, "the generated system must have v > n")
         return None
-    if elem and cs.d % (cs.v - cs.n) != 0:
+    if elem and d % (v - n) != 0:
         _diag(
             diagnostics,
             "elementary transformation requires (v-n) | d, got d=%d, v-n=%d"
-            % (cs.d, cs.v - cs.n),
+            % (d, v - n),
         )
         return None
-    if not cs.n * d1 < n1 * cs.d:
+    if not n * d1 < n1 * d:
         _diag(
             diagnostics,
             "slope condition fails: need n*d1 < n1*d, got %d >= %d"
-            % (cs.n * d1, n1 * cs.d),
+            % (n * d1, n1 * d),
         )
         return None
     sub_b = _certify_b(curve, n1, d1, k1, facts, diagnostics)
@@ -1035,10 +1032,10 @@ def _dual_span_rule(
         _diag(diagnostics, "the elementary transformation needs stable dual spans")
         return None
     hypotheses = [
-        Hypothesis("degree divisibility (v-n) | d: %d | %d" % (cs.v - cs.n, cs.d))
+        Hypothesis("degree divisibility (v-n) | d: %d | %d" % (v - n, d))
         if elem
-        else Hypothesis("generated system has v = %d > n = %d" % (cs.v, cs.n)),
-        Hypothesis("slope condition n*d1 = %d < n1*d = %d" % (cs.n * d1, n1 * cs.d)),
+        else Hypothesis("generated system has v = %d > n = %d" % (v, n)),
+        Hypothesis("slope condition n*d1 = %d < n1*d = %d" % (n * d1, n1 * d)),
     ]
     notes = []
     if rule == "phi":
@@ -1060,11 +1057,11 @@ def _dual_span_rule(
                     status="assumed",
                 )
             )
-    n2, d2, k2 = target.bundle.n, target.bundle.d, target.k
+    n2, d2, k2 = target
     k = k1 * k2
     beta = beta_universal(curve.genus, (n1, d1), (n2, d2), k)
     witnesses = {"k": k, "k2": k2}
-    args = [[n1, d1, k1], [cs.n, cs.d, cs.v]]
+    args = [[n1, d1, k1], [n, d, v]]
     if r is not None:
         witnesses["r"] = r
         args.append(r)
@@ -1089,8 +1086,8 @@ def _dual_span_rule(
 
 def certify_phi(
     curve: CurveClass,
-    locus1: LocusSpec | tuple[int, int, int],
-    cs: CoherentSystemType | tuple[int, int, int],
+    locus1: tuple[int, int, int],
+    cs: tuple[int, int, int],
     facts: FactDatabase | None = None,
     *,
     diagnostics: Optional[list[str]] = None,
@@ -1106,8 +1103,8 @@ def certify_phi(
 
 def certify_rfold(
     curve: CurveClass,
-    locus1: LocusSpec | tuple[int, int, int],
-    cs: CoherentSystemType | tuple[int, int, int],
+    locus1: tuple[int, int, int],
+    cs: tuple[int, int, int],
     r: int,
     facts: FactDatabase | None = None,
     *,
@@ -1120,8 +1117,8 @@ def certify_rfold(
 
 def certify_elem(
     curve: CurveClass,
-    locus1: LocusSpec | tuple[int, int, int],
-    cs: CoherentSystemType | tuple[int, int, int],
+    locus1: tuple[int, int, int],
+    cs: tuple[int, int, int],
     r: int,
     facts: FactDatabase | None = None,
     *,
@@ -1145,7 +1142,7 @@ CITE_T9 = (
 
 def certify_t9(
     curve: CurveClass,
-    locus1: LocusSpec | tuple[int, int, int],
+    locus1: tuple[int, int, int],
     n: int,
     d: int,
     v: int,
@@ -1158,12 +1155,11 @@ def certify_t9(
     Needs a general curve, d > n*g, n < v <= d - n*(g-1) and slope gap
     mu1 < d/(v-n).
     """
-    locus1 = _locus(locus1)
+    n1, d1, k1 = _locus(locus1)
     if not curve.satisfies("general"):
         _diag(diagnostics, "this construction needs a general curve")
         return None
     g = curve.genus
-    n1, d1 = locus1.bundle.n, locus1.bundle.d
     if not d > n * g:
         _diag(diagnostics, "need d > n*g, got d=%d, n*g=%d" % (d, n * g))
         return None
@@ -1176,7 +1172,7 @@ def certify_t9(
             "need v <= d - n*(g-1), got v=%d, bound=%d" % (v, d - n * (g - 1)),
         )
         return None
-    mu1 = locus1.bundle.mu
+    mu1 = Fraction(d1, n1)
     mu2 = Fraction(d, v - n)
     if not mu1 < mu2:
         _diag(diagnostics, "need mu1 < mu2, got %s >= %s" % (mu1, mu2))
@@ -1195,7 +1191,7 @@ def certify_t9(
             Hypothesis("n = %d < v = %d <= d - n*(g-1) = %d" % (n, v, d - n * (g - 1))),
             Hypothesis("slope gap mu1 = %s < mu2 = %s" % (mu1, mu2)),
         ],
-        witnesses={"k1k2": locus1.k * v, "beta": beta},
+        witnesses={"k1k2": k1 * v, "beta": beta},
         own_level="general",
         curve=curve,
         notes=[
@@ -1204,7 +1200,7 @@ def certify_t9(
             "the upper range for v is taken inclusive; the underlying "
             "generation argument uses the strict form",
         ],
-        inputs=_inputs("t9", [n1, d1, locus1.k], n, d, v),
+        inputs=_inputs("t9", [n1, d1, k1], n, d, v),
     )
 
 

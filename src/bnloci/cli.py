@@ -14,6 +14,7 @@ variable; --facts overrides it.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -82,10 +83,12 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
 
 
 def _parse_span(text: str) -> range:
-    """Parse "a..b" (inclusive) or a single integer."""
+    """Parse "a..b" (inclusive, a <= b) or a single integer."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split("..", 1))
+        if hi < lo:
+            raise ValueError("span %r runs backwards" % (text,))
+        return range(lo, hi + 1)
     value = int(text)
     return range(value, value + 1)
 
@@ -277,8 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    # RecursionError: json gives up on deeply nested arrays or objects.
-    except (ValueError, OSError, RecursionError) as exc:
+    # RecursionError: json gives up on deeply nested arrays or objects;
+    # csv.Error: a boundary field beyond the csv module's size limit.
+    except (ValueError, OSError, RecursionError, csv.Error) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bncalc import LocusSpec, SlopePoint, _check_genus, _locus, beta_universal
+from .bncalc import _check_genus, _locus, beta_universal
 from .exactnum import ceil_ratio, floor_ratio, make_rational
 
 __all__ = [
@@ -61,7 +61,7 @@ TABLE2_PRINTED: dict[int, int] = {
     2: 9, 3: 7, 4: 6, 5: 7, 6: 8, 7: 9, 8: 10, 9: 11, 10: 12,
 }
 
-TABLE1_LOCUS = LocusSpec.of(6, 22, 7)
+TABLE1_LOCUS = (6, 22, 7)
 TABLE1_GENUS = 10
 
 TABLE1_HEADER = "n2,d_min_formula,d_max_formula,d_max_direct,paper_d_min,paper_d_max"
@@ -94,6 +94,9 @@ class RegionBoundary:
             for row in reader:
                 if not row or row[0].strip() == "mu":
                     continue
+                if len(row) != 2:
+                    raise ValueError("boundary row %d is not mu,lambda: %r"
+                                     % (reader.line_num, ",".join(row)))
                 samples.append((_parse_fraction(row[0]), _parse_fraction(row[1])))
         return cls(genus=genus, samples=tuple(samples))
 
@@ -137,9 +140,7 @@ def dmax_formula_bpn(n2: int) -> int:
     return floor_ratio(264 * n2 * n2 + 322 * n2 - 319, 42 * (n2 + 1))
 
 
-def dmax_search(
-    g: int, locus1: LocusSpec | tuple[int, int, int], n2: int
-) -> int | None:
+def dmax_search(g: int, locus1: tuple[int, int, int], n2: int) -> int | None:
     """Largest d2 >= dmin with negative universal BN number, in closed form.
 
     The BN number is linear in d2, beta(d2) = beta(0) + k*n1*d2 with
@@ -148,13 +149,13 @@ def dmax_search(
     there and non-negative one degree higher.  None when that degree lies
     below dmin, which is confirmed by beta(dmin) >= 0.
     """
-    locus1 = _locus(locus1)
-    if locus1.k < 1:
+    n1, d1, k1 = _locus(locus1)
+    if k1 < 1:
         raise ValueError("the first locus needs at least one section")
-    k = locus1.k * (n2 + 1)
-    b1 = (locus1.bundle.n, locus1.bundle.d)
+    k = k1 * (n2 + 1)
+    b1 = (n1, d1)
     dmin = dmin_formula(g, n2)
-    slope = k * locus1.bundle.n
+    slope = k * n1
     top = -(beta_universal(g, b1, (n2, 0), k) // slope) - 1
     if top < dmin:
         if beta_universal(g, b1, (n2, dmin), k) < 0:
@@ -221,24 +222,24 @@ def ex2_min_genus(n1: int, n2: int, d2: int) -> int | None:
 
 
 def bnmap_point(
-    locus1: LocusSpec | tuple[int, int, int], locus2: LocusSpec | tuple[int, int, int]
-) -> SlopePoint:
-    """Slope-plane image of a pair of loci: (mu1 + mu2, lambda1 * lambda2)."""
-    locus1 = _locus(locus1)
-    locus2 = _locus(locus2)
-    return SlopePoint(
-        mu=locus1.bundle.mu + locus2.bundle.mu,
-        lam=locus1.lam * locus2.lam,
-    )
+    locus1: tuple[int, int, int], locus2: tuple[int, int, int]
+) -> tuple[Fraction, Fraction]:
+    """Slope-plane image (mu, lam) = (mu1 + mu2, lambda1 * lambda2) of a pair
+    of loci."""
+    n1, d1, k1 = _locus(locus1)
+    n2, d2, k2 = _locus(locus2)
+    return Fraction(d1, n1) + Fraction(d2, n2), Fraction(k1, n1) * Fraction(k2, n2)
 
 
-def classify_point(point: SlopePoint, boundary: RegionBoundary) -> str:
-    """"new" when strictly above the interpolated boundary, "inside" when on
-    or below it, "unknown" outside the sampled range or with no samples."""
-    height = boundary.interpolate(point.mu)
+def classify_point(point: tuple[Fraction, Fraction], boundary: RegionBoundary) -> str:
+    """"new" when the (mu, lam) point lies strictly above the interpolated
+    boundary, "inside" when on or below it, "unknown" outside the sampled
+    range or with no samples."""
+    mu, lam = point
+    height = boundary.interpolate(mu)
     if height is None:
         return "unknown"
-    return "new" if point.lam > height else "inside"
+    return "new" if lam > height else "inside"
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +247,7 @@ def classify_point(point: SlopePoint, boundary: RegionBoundary) -> str:
 
 
 def table1_rows(
-    g: int,
-    locus1: LocusSpec | tuple[int, int, int],
-    n2_values: range | list[int],
+    g: int, locus1: tuple[int, int, int], n2_values: range | list[int]
 ) -> list[dict]:
     locus1 = _locus(locus1)
     canonical = g == TABLE1_GENUS and locus1 == TABLE1_LOCUS
@@ -303,7 +302,7 @@ def ex40_rows(g: int, n1: int) -> list[dict]:
 
 def bnmap_rows(
     g: int,
-    locus1: LocusSpec | tuple[int, int, int],
+    locus1: tuple[int, int, int],
     n2_values: range | list[int],
     boundary: RegionBoundary | None = None,
 ) -> list[dict]:
@@ -316,18 +315,18 @@ def bnmap_rows(
     rows = []
     for n2 in n2_values:
         d2 = dmin_formula(g, n2)
-        locus2 = LocusSpec.of(n2, d2, n2 + 1)
-        point = bnmap_point(locus1, locus2)
+        point = bnmap_point(locus1, (n2, d2, n2 + 1))
         if boundary is None:
             classification = "unknown"
         else:
             classification = classify_point(point, boundary)
+        mu, lam = point
         rows.append(
             {
-                "mu0_num": point.mu.numerator,
-                "mu0_den": point.mu.denominator,
-                "lambda0_num": point.lam.numerator,
-                "lambda0_den": point.lam.denominator,
+                "mu0_num": mu.numerator,
+                "mu0_den": mu.denominator,
+                "lambda0_num": lam.numerator,
+                "lambda0_den": lam.denominator,
                 "classification": classification,
             }
         )

@@ -18,7 +18,6 @@ from bnloci.bncalc import (
     neg_slope_criterion,
     asympt_neg,
     t4_beta_poly,
-    BundleSpec,
 )
 from bnloci.certkit import (
     CurveClass,
@@ -156,11 +155,11 @@ def test_criterion_4_negativity_criterion_equivalence():
     for n1 in range(1, 5):
         for d1 in range(-10, 11):
             mu1 = Fraction(d1, n1)
-            b1 = BundleSpec(n1, d1)
+            b1 = (n1, d1)
             for n2 in range(1, 5):
                 for d2 in range(-10, 11):
                     mu2 = Fraction(d2, n2)
-                    b2 = BundleSpec(n2, d2)
+                    b2 = (n2, d2)
                     for g in range(2, 7):
                         for k1 in range(1, 6):
                             for k2 in range(1, 6):

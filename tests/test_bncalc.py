@@ -10,8 +10,6 @@ from fractions import Fraction
 import pytest
 
 from bnloci.bncalc import (
-    BundleSpec,
-    LocusSpec,
     asympt_neg,
     beta_classical,
     beta_twisted,
@@ -24,16 +22,40 @@ from bnloci.bncalc import (
     t4_beta_poly,
     universal_neg_criterion,
 )
+from bnloci.sweeps import bnmap_point
+
+RANK_0 = "^rank must be positive, got 0$"
 
 
-def test_bundle_spec_rejects_zero_rank():
-    with pytest.raises(ValueError):
-        BundleSpec(0, 5)
+def test_bundle_types_reject_zero_rank():
+    for call in (
+        lambda b1, b2: beta_universal(6, b1, b2, 1),
+        lambda b1, b2: beta_twisted(6, b1, b2, 1),
+        lambda b1, b2: chi_tensor(6, b1, b2),
+        lambda b1, b2: universal_neg_criterion(6, b1, b2, 1),
+    ):
+        with pytest.raises(ValueError, match=RANK_0):
+            call((0, 5), (1, 1))
+        with pytest.raises(ValueError, match="^rank must be positive, got -1$"):
+            call((2, 5), (-1, 1))
+        # b1 is checked before b2
+        with pytest.raises(ValueError, match=RANK_0):
+            call((0, 5), (-1, 1))
+    # genus first, then the section count, then the ranks
+    with pytest.raises(ValueError, match="^genus must be at least 2, got 1$"):
+        beta_universal(1, (0, 5), (1, 1), -1)
+    with pytest.raises(ValueError, match="^section count must be non-negative"):
+        beta_twisted(6, (0, 5), (1, 1), -1)
 
 
-def test_locus_spec_rejects_negative_sections():
-    with pytest.raises(ValueError):
-        LocusSpec.of(2, 5, -1)
+def test_locus_types_reject_negative_sections():
+    with pytest.raises(ValueError, match="^section count must be non-negative, got -1$"):
+        bnmap_point((2, 5, -1), (1, 1, 1))
+    with pytest.raises(ValueError, match="^section count must be non-negative, got -1$"):
+        bnmap_point((2, 5, 2), (1, 1, -1))
+    # the rank is checked before the section count
+    with pytest.raises(ValueError, match=RANK_0):
+        bnmap_point((0, 5, -1), (1, 1, 1))
 
 
 def test_beta_classical_values():

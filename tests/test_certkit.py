@@ -239,11 +239,9 @@ def test_phi_beta_witness_matches_dual_span(facts):
     ]
     for locus1, cs, g in cases:
         cert = certify_phi(CurveClass(g, "general"), locus1, cs, FactDatabase())
-        dual = dual_span_type(cs)
-        k = locus1[2] * dual.k
-        assert cert.beta == beta_universal(
-            g, (locus1[0], locus1[1]), (dual.bundle.n, dual.bundle.d), k
-        )
+        n2, d2, k2 = dual_span_type(cs)
+        k = locus1[2] * k2
+        assert cert.beta == beta_universal(g, (locus1[0], locus1[1]), (n2, d2), k)
 
 
 def test_phi_semistable_propagation(facts):
@@ -605,6 +603,30 @@ def test_revalidation_of_worked_certificates(facts):
 def test_revalidation_detects_tampering(facts):
     cert = certify_phi(CurveClass(7, "general"), (5, 12, 6), (2, 10, 4), facts)
     cert.beta = cert.beta + 1
+    assert not revalidate(cert, facts)
+
+
+def test_revalidation_of_a_builtin_fact_certificate(facts):
+    # S(2, 10, 4) on genus 7 has no rule; the built-in S(2, g+3, 4) answers it
+    cert = s_nonempty(CurveClass(7, "general"), (2, 10, 4), facts)
+    assert cert.rule == "fact"
+    assert cert.inputs["d"] == 10
+    assert revalidate(cert, facts)
+    assert revalidate(cert)
+
+
+def test_revalidation_rejects_a_fact_the_database_lacks():
+    user = Fact(kind="S", n=3, sections=5, degree=20, citation="user note")
+    with_fact = FactDatabase([user])
+    cert = s_nonempty(CurveClass(7, "general"), (3, 20, 5), with_fact)
+    assert cert.rule == "fact"
+    assert revalidate(cert, with_fact)
+    assert not revalidate(cert, FactDatabase())
+
+
+def test_revalidation_rejects_an_unknown_rule(facts):
+    cert = certify_phi(CurveClass(7, "general"), (5, 12, 6), (2, 10, 4), facts)
+    cert.rule = "no-such-rule"
     assert not revalidate(cert, facts)
 
 

@@ -561,3 +561,37 @@ def test_type_refusal_messages(capsys, argv, err):
     """Each malformed bundle, locus or coherent-system type is refused with
     exit 2 and one fixed line on stderr, whichever subcommand reads it."""
     assert run(capsys, argv.split()) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "table2", "--n2", "9..3"],
+    ["sweep", "bnmap", "--n2", "5..2"],
+    ["sweep", "table1", "--n2", "4..3"],
+])
+def test_reversed_span_is_usage_error(capsys, argv):
+    span = argv[-1]
+    assert run(capsys, argv) == (2, "", "error: span %r runs backwards\n" % span)
+
+
+def test_single_value_span_is_valid(capsys):
+    code, out, _ = run(capsys, ["sweep", "table2", "--n2", "3..3"])
+    assert code == 0 and out == "n2,g_min,paper_g_min\n3,7,7\n"
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ("mu,lambda\n3,1\n1\n", "boundary row 3 is not mu,lambda: '1'"),
+    ("3,1,2\n", "boundary row 1 is not mu,lambda: '3,1,2'"),
+])
+def test_boundary_row_without_two_fields_is_usage_error(capsys, tmp_path, rows, bad):
+    path = tmp_path / "b.csv"
+    path.write_text(rows, encoding="utf-8")
+    argv = ["sweep", "bnmap", "--n2", "2..3", "--boundary", str(path)]
+    assert run(capsys, argv) == (2, "", "error: %s\n" % bad)
+
+
+def test_boundary_field_beyond_the_csv_limit_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("1," + "9" * 200000 + "\n", encoding="utf-8")
+    argv = ["sweep", "bnmap", "--n2", "2..3", "--boundary", str(path)]
+    assert run(capsys, argv) == (
+        2, "", "error: field larger than field limit (131072)\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnloci.bncalc import SlopePoint, beta_classical, beta_universal
+from bnloci.bncalc import beta_classical, beta_universal
 from bnloci.sweeps import (
     BNMAP_HEADER,
     TABLE1_HEADER,
@@ -184,11 +184,9 @@ def test_ex2_coefficient_positive_for_ranks_at_least_two():
 
 def test_bnmap_point_values():
     point = bnmap_point((2, 5, 2), (5, 14, 6))
-    assert point == SlopePoint(Fraction(53, 10), Fraction(6, 5))
-    assert bnmap_point((3, 0, 3), (4, 0, 4)) == SlopePoint(Fraction(0), Fraction(1))
-    assert bnmap_point((2, 5, 2), (6, 16, 7)) == SlopePoint(
-        Fraction(31, 6), Fraction(7, 6)
-    )
+    assert point == (Fraction(53, 10), Fraction(6, 5))
+    assert bnmap_point((3, 0, 3), (4, 0, 4)) == (Fraction(0), Fraction(1))
+    assert bnmap_point((2, 5, 2), (6, 16, 7)) == (Fraction(31, 6), Fraction(7, 6))
 
 
 def _boundary(*samples):
@@ -200,18 +198,18 @@ def _boundary(*samples):
 
 def test_classify_point_cases():
     empty = RegionBoundary(genus=10, samples=())
-    point = SlopePoint(Fraction(5), Fraction(2))
+    point = (Fraction(5), Fraction(2))
     assert classify_point(point, empty) == "unknown"
 
     flat = _boundary((3, 1), (8, Fraction(11, 10)))
-    assert classify_point(SlopePoint(Fraction(53, 10), Fraction(6, 5)), flat) == "new"
+    assert classify_point((Fraction(53, 10), Fraction(6, 5)), flat) == "new"
     high = _boundary((3, 1), (8, Fraction(3, 2)))
-    assert classify_point(SlopePoint(Fraction(53, 10), Fraction(6, 5)), high) == "inside"
+    assert classify_point((Fraction(53, 10), Fraction(6, 5)), high) == "inside"
     # a point exactly on a sample is inside (strict inequality)
-    on_sample = classify_point(SlopePoint(Fraction(3), Fraction(1)), flat)
+    on_sample = classify_point((Fraction(3), Fraction(1)), flat)
     assert on_sample == "inside"
     # outside the sampled range
-    assert classify_point(SlopePoint(Fraction(9), Fraction(5)), flat) == "unknown"
+    assert classify_point((Fraction(9), Fraction(5)), flat) == "unknown"
 
 
 def test_classify_point_monotone_in_lambda():
@@ -220,7 +218,7 @@ def test_classify_point_monotone_in_lambda():
     previous = None
     for step in range(0, 20):
         lam = Fraction(1, 2) + Fraction(step, 10)
-        got = classify_point(SlopePoint(mu, lam), boundary)
+        got = classify_point((mu, lam), boundary)
         if previous == "new":
             assert got == "new"
         previous = got
