@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .bncalc import (
+    _check_genus,
     _locus,
     beta_classical,
     beta_twisted,
@@ -38,7 +40,7 @@ from .bncalc import (
     asympt_neg,
     t4_beta_poly,
 )
-from .exactnum import ALWAYS_NEGATIVE, ceil_ratio, quad_neg_threshold
+from .exactnum import ALWAYS_NEGATIVE, quad_neg_threshold
 from .spanops import (
     _cs,
     dual_span_type,
@@ -99,8 +101,7 @@ class CurveClass:
     hyperelliptic: str = "unknown"
 
     def __post_init__(self) -> None:
-        if self.genus < 2:
-            raise ValueError("genus must be at least 2, got %r" % (self.genus,))
+        _check_genus(self.genus)
         if self.level not in _LEVEL_RANK:
             raise ValueError("unknown curve level %r" % (self.level,))
         if self.hyperelliptic not in ("yes", "no", "unknown"):
@@ -181,26 +182,49 @@ class GenusConstraint:
             out["parity"] = self.parity
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenusConstraint":
-        for name in ("equals", "min"):
-            # Exact: truncating a bound such as 4.5 would widen the fact.
-            if data.get(name) is not None and type(data[name]) is not int:
-                raise ValueError(
-                    "fact genus %s must be an integer, got %r" % (name, data[name])
-                )
-        return cls(
-            equals=data.get("equals"),
-            minimum=data.get("min"),
-            parity=data.get("parity"),
-        )
+
+_ABSENT = object()
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", dict: "a JSON object"}
+# ASCII only: int() would also read "g+\u0661_0" as g+10.
+_DEGREE_TEXT = re.compile(r"g([+-][0-9]+)?")
 
 
-def _record_int(value, name: str) -> int:
-    # Exact: int() would truncate 14.5 and accept "4" or true.
-    if type(value) is not int:
-        raise ValueError("fact field %s must be an integer, got %r" % (name, value))
+def _field(record: dict, name: str, types: tuple, default=_ABSENT, keys=()):
+    """Field `name` of a JSON record, from the first of `keys` (default
+    `name`) that is set.  Types are exact, so true is no integer and 14.5
+    is refused, and text must encode as UTF-8.  A JSON null counts as absent,
+    except where absence means a default: there it is refused, not widened."""
+    keys = keys or (name,)
+    for key in keys:
+        value = record.get(key)
+        if value is not None:
+            break
+    else:
+        if default is _ABSENT:
+            raise ValueError("fact record is missing the field %s"
+                             % " or ".join(map(repr, keys)))
+        if default is None or key not in record:
+            return default
+    if type(value) not in types:
+        raise ValueError("fact field %s must be %s, got %r"
+                         % (name, _JSON_TYPE_NAMES[types[0]], value))
+    if type(value) is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("fact field %s must be UTF-8 text, got %r"
+                             % (name, value)) from None
     return value
+
+
+def _degree_offset(text: str) -> int:
+    """N of a genus-relative degree "g", "g+N" or "g-N"; spaces are ignored."""
+    match = _DEGREE_TEXT.fullmatch(text.replace(" ", ""))
+    try:
+        return int(match[1] or 0)
+    except (TypeError, ValueError):  # no match, or past int()'s digit limit
+        raise ValueError("fact field d must be an integer or g+offset, got %r"
+                         % (text,)) from None
 
 
 @dataclass(frozen=True)
@@ -230,12 +254,8 @@ class Fact:
             raise ValueError("fact rank and section count must be positive")
         if (self.degree is None) == (self.degree_offset_from_genus is None):
             raise ValueError("exactly one of degree / genus offset must be set")
-        if not isinstance(self.level, str) or self.level not in _LEVEL_RANK:
+        if self.level not in _LEVEL_RANK:
             raise ValueError("unknown curve level %r" % (self.level,))
-        if not isinstance(self.citation, str):
-            raise ValueError(
-                "fact citation must be a string, got %r" % (self.citation,)
-            )
         if not self.citation:
             raise ValueError("every fact must carry a citation")
 
@@ -261,69 +281,46 @@ class Fact:
             and self.degree_at(genus) == d
         )
 
-    def describe(self) -> str:
+    def _degree_field(self) -> int | str:
+        """The record's "d": the degree, or its text "g+N" / "g-N"."""
         if self.degree is not None:
-            deg = str(self.degree)
-        elif self.degree_offset_from_genus >= 0:
-            deg = "g+%d" % self.degree_offset_from_genus
-        else:
-            deg = "g-%d" % (-self.degree_offset_from_genus)
-        return "%s(%d,%s,%d)" % (self.kind, self.n, deg, self.sections)
+            return self.degree
+        return "g%+d" % self.degree_offset_from_genus
+
+    def describe(self) -> str:
+        return "%s(%d,%s,%d)" % (self.kind, self.n, self._degree_field(),
+                                 self.sections)
 
     def to_record(self) -> dict:
-        record: dict = {"kind": self.kind, "n": self.n}
-        if self.degree is not None:
-            record["d"] = self.degree
-        else:
-            off = self.degree_offset_from_genus
-            record["d"] = "g+%d" % off if off >= 0 else "g-%d" % (-off)
-        record["v" if self.kind == "S" else "k"] = self.sections
-        record["level"] = self.level
-        record["genus"] = self.genus.to_dict()
-        record["citation"] = self.citation
-        return record
+        return {"kind": self.kind, "n": self.n, "d": self._degree_field(),
+                "v" if self.kind == "S" else "k": self.sections,
+                "level": self.level, "genus": self.genus.to_dict(),
+                "citation": self.citation}
 
     @classmethod
     def from_record(cls, record: dict) -> "Fact":
-        if not isinstance(record, dict):
+        if type(record) is not dict:
             raise ValueError("a fact record must be a JSON object, got %r" % (record,))
-        if "n" not in record:
-            raise ValueError("fact record is missing the rank field 'n'")
-        genus = record.get("genus", {})
-        if not isinstance(genus, dict):
-            raise ValueError("fact field genus must be a JSON object, got %r" % (genus,))
-        kind = record.get("kind")
-        raw_d = record.get("d")
-        degree = None
+        kind = _field(record, "kind", (str,))
+        degree = _field(record, "d", (int, str))
         offset = None
-        if isinstance(raw_d, str):
-            text = raw_d.replace(" ", "")
-            try:
-                if not text.startswith("g"):
-                    raise ValueError
-                offset = int(text[1:] or 0)
-            except ValueError:
-                raise ValueError(
-                    "fact field d must be an integer or g+offset, got %r" % (raw_d,)
-                ) from None
-        elif raw_d is None:
-            raise ValueError("fact record is missing the degree field 'd'")
-        else:
-            degree = _record_int(raw_d, "d")
-        sections = record.get("v" if kind == "S" else "k")
-        if sections is None:
-            sections = record.get("k") if kind == "S" else record.get("v")
-        if sections is None:
-            raise ValueError("fact record is missing the section count")
+        if type(degree) is str:
+            degree, offset = None, _degree_offset(degree)
+        genus = _field(record, "genus", (dict,), {})
         return cls(
             kind=kind,
-            n=_record_int(record["n"], "n"),
-            sections=_record_int(sections, "section count"),
+            n=_field(record, "n", (int,)),
+            sections=_field(record, "section count", (int,),
+                            keys=("v", "k") if kind == "S" else ("k", "v")),
             degree=degree,
             degree_offset_from_genus=offset,
-            level=record.get("level", "smooth"),
-            genus=GenusConstraint.from_dict(genus),
-            citation=record.get("citation", ""),
+            level=_field(record, "level", (str,), "smooth"),
+            genus=GenusConstraint(
+                equals=_field(genus, "genus equals", (int,), None, ("equals",)),
+                minimum=_field(genus, "genus min", (int,), None, ("min",)),
+                parity=_field(genus, "genus parity", (str,), None, ("parity",)),
+            ),
+            citation=_field(record, "citation", (str,), ""),
         )
 
 
@@ -1340,7 +1337,7 @@ def cor_t3_d1_range(curve: CurveClass, n1: int) -> range:
         raise ValueError("the degree window applies to Petri or general curves")
     g = curve.genus
     # At rank 2 the general ends are the rank-2 ones: 2 + ceil(2g/3), g+1.
-    lo = n1 + ceil_ratio(n1 * g, n1 + 1)
+    lo = math.ceil(line_bn_degree_bound(g, n1))
     hi = (n1 - 1) * g + 1
     if n1 >= 5 and not (curve.satisfies("general") or g >= 2 * n1 - 4):
         hi = n1 + (3 * g) // 2

@@ -193,7 +193,7 @@ def ex40_d1_range(g: int, n1: int) -> range:
     if n1 < 2:
         raise ValueError("requires n1 >= 2, got %r" % (n1,))
     _check_genus(g)
-    lower = n1 + ceil_ratio(n1 * g, n1 + 1)
+    lower = dmin_formula(g, n1)
     np1sq = (n1 + 1) * (n1 + 1)
     upper = (
         Fraction(n1, 2) * Fraction(np1sq, n1 * n1)

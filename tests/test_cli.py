@@ -472,7 +472,9 @@ def test_facts_add_rejects_fields_that_are_not_integers(
 
 
 def test_facts_add_malformed_genus_offset_names_the_field(capsys, tmp_path):
-    for degree in ("g+x", "h+3"):
+    # Only g, g+N and g-N with ASCII digits: int() would read "g+١_0" and
+    # "g+1_0" as g+10, and "g3" as g+3.
+    for degree in ("g+x", "h+3", "g+١_0", "g+1_0", "g3"):
         err = _assert_one_line_usage_error(
             capsys, tmp_path,
             json.dumps({"kind": "B", "n": 3, "d": degree, "k": 4,
@@ -480,6 +482,41 @@ def test_facts_add_malformed_genus_offset_names_the_field(capsys, tmp_path):
         assert err == (
             "error: fact field d must be an integer or g+offset, got %r\n"
             % degree)
+        assert not (tmp_path / "facts.json").exists()
+
+
+SURROGATE_RECORD = {"kind": "B", "n": 3, "d": 14, "k": 4, "citation": "x\ud800"}
+
+
+def test_facts_add_citation_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    err = _assert_one_line_usage_error(capsys, tmp_path,
+                                       json.dumps(SURROGATE_RECORD))
+    assert "citation" in err
+    assert not (tmp_path / "facts.json").exists()
+
+
+def test_facts_file_with_a_citation_that_is_not_utf8_is_rejected(
+        capsys, tmp_path):
+    # Refused on load, so `facts list` prints nothing before the error.
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps([SURROGATE_RECORD]), encoding="utf-8")
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, ["facts", "list", "--format", fmt, "--facts", str(path)])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "citation" in err
+
+
+def test_facts_record_tolerances_are_kept(capsys, tmp_path):
+    # The section count under the other kind's key, spaces inside g + N and
+    # an unknown key are all read as before.
+    path = tmp_path / "facts.json"
+    record = {"kind": "B", "n": 3, "d": " g + 3 ", "v": 4, "note": "x\ud800",
+              "citation": "x"}
+    code, out, _ = run(
+        capsys, ["facts", "add", json.dumps(record), "--facts", str(path)])
+    assert code == 0 and out == "added B(3,g+3,4)\n"
+    assert json.loads(path.read_text(encoding="utf-8"))[0]["k"] == 4
 
 
 def test_sweeps_reject_genus_below_two(capsys):

@@ -7,7 +7,9 @@ exit 0 or 2, with nothing on stdout on 2.  No request may raise.
 Rules and flags are drawn from the rule registry, so every rule and every
 flag the CLI derives from it is exercised.  Sweeps read boundary files with
 short and malformed rows; facts records and files hold floats, bools,
-numeric strings and nested arrays where integers belong."""
+numeric strings and nested arrays where integers belong, degrees with
+non-ASCII digits or underscores, and citations in non-ASCII text or with
+lone surrogates that UTF-8 cannot encode."""
 
 import io
 import json
@@ -36,6 +38,7 @@ def assert_exits_0_or_2(argv):
     assert code in (0, 2), (argv, code)
     if code == 2:
         assert out == "", argv
+    out.encode("utf-8")  # a real stdout must be able to write it
     return code, out
 
 
@@ -194,7 +197,8 @@ def field(valid):
 FACT_FIELDS = {
     "kind": field(st.sampled_from(("S", "B", "Btilde"))),
     "n": field(RANKS),
-    "d": field(DEGREES | st.sampled_from(("g", "g+3", "g-1"))),
+    "d": field(DEGREES | st.sampled_from(("g", "g+3", "g-1", "g+\u06610",
+                                          "g+1_0", "g+ 3"))),
     "k": field(st.integers(1, 8)),
     "v": field(st.integers(1, 8)),
     "level": field(st.sampled_from(("smooth", "petri", "general"))),
@@ -203,7 +207,12 @@ FACT_FIELDS = {
         "min": field(st.just(MISSING) | st.integers(2, 12)),
         "parity": field(st.just(MISSING) | st.sampled_from(("odd", "even"))),
     })),
-    "citation": field(st.just("a citation")),
+    # ASCII, other text, or a lone surrogate; one third each.
+    "citation": field(st.sampled_from((
+        st.just("a citation"),
+        st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=4),
+        st.sampled_from(("x\ud800", "\udfff")),
+    )).flatmap(lambda strategy: strategy)),
 }
 
 
