@@ -4,6 +4,7 @@ BN-number formulas."""
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -12,10 +13,14 @@ from bnloci.bncalc import (
 )
 from bnloci.certkit import (
     BUILTIN_FACTS,
+    Certificate,
+    Conclusion,
     CurveClass,
     Fact,
     FactDatabase,
     GenusConstraint,
+    Hypothesis,
+    Rule,
     bn_line_nonempty,
     bn_np1_nonempty,
     certify_c8,
@@ -30,6 +35,7 @@ from bnloci.certkit import (
     revalidate,
     s_nonempty,
 )
+from bnloci.sweeps import RegionBoundary
 
 
 @pytest.fixture
@@ -578,6 +584,114 @@ def test_genus_constraint_matching():
     assert GenusConstraint(equals=6).matches(6)
     assert not GenusConstraint(equals=6).matches(7)
     assert GenusConstraint().matches(2)
+
+
+# ---------------------------------------------------------------------------
+# Value classes
+
+BUILTIN_B_REPR = (
+    "Fact(kind='B', n=2, sections=5, degree=10, degree_offset_from_genus=None, "
+    "level='general', genus=GenusConstraint(equals=6, minimum=None, parity=None), "
+    "citation='non-emptiness of B(2, 10, 5) on a general curve of genus 6', "
+    "builtin=True)"
+)
+
+# class; every field in order; the defaults a keyword call may leave out; a
+# change giving another valid value; refusals as (change, message), where a
+# change with several faults pins which check runs first; a (value, repr).
+VALUE_CLASSES = [
+    pytest.param(
+        CurveClass, dict(genus=7, level="general", hyperelliptic="no"),
+        dict(level="smooth", hyperelliptic="unknown"), dict(genus=8),
+        [(dict(genus=1), "genus must be at least 2, got 1"),
+         (dict(level="x"), "unknown curve level 'x'"),
+         (dict(hyperelliptic="x"), "unknown hyperelliptic flag 'x'"),
+         (dict(genus=1, level="x", hyperelliptic="x"), "genus must be at least 2, got 1"),
+         (dict(level="x", hyperelliptic="x"), "unknown curve level 'x'")],
+        (CurveClass(7, "general"),
+         "CurveClass(genus=7, level='general', hyperelliptic='unknown')"),
+        id="CurveClass"),
+    pytest.param(
+        GenusConstraint, dict(equals=6, minimum=5, parity="even"),
+        dict(equals=None, minimum=None, parity=None), dict(minimum=4),
+        [(dict(parity="x"), "parity must be odd or even, got 'x'")],
+        None, id="GenusConstraint"),
+    pytest.param(
+        Fact, dict(kind="B", n=2, sections=5, degree=10, degree_offset_from_genus=None,
+                   level="general", genus=GenusConstraint(equals=6), citation="c",
+                   builtin=True),
+        dict(degree_offset_from_genus=None, level="smooth", genus=GenusConstraint(),
+             builtin=False),
+        dict(citation="d"),
+        [(dict(kind="X"), "fact kind must be S, B or Btilde, got 'X'"),
+         (dict(n=0), "fact rank and section count must be positive"),
+         (dict(sections=0), "fact rank and section count must be positive"),
+         (dict(degree_offset_from_genus=3), "exactly one of degree / genus offset must be set"),
+         (dict(degree=None), "exactly one of degree / genus offset must be set"),
+         (dict(level="x"), "unknown curve level 'x'"),
+         (dict(citation=""), "every fact must carry a citation"),
+         (dict(kind="X", n=0), "fact kind must be S, B or Btilde, got 'X'"),
+         (dict(n=0, degree=None), "fact rank and section count must be positive"),
+         (dict(degree=None, level="x"), "exactly one of degree / genus offset must be set"),
+         (dict(level="x", citation=""), "unknown curve level 'x'")],
+        (BUILTIN_FACTS[2], BUILTIN_B_REPR), id="Fact"),
+    pytest.param(
+        Hypothesis, dict(description="h", status="assumed"),
+        dict(status="checked"), dict(description="i"),
+        [(dict(status="x"), "hypothesis status must be checked or assumed")],
+        None, id="Hypothesis"),
+    pytest.param(
+        Conclusion, dict(kind="bn", strength="stable", n1=2, d1=4, n2=3, d2=5, k=6),
+        dict(n1=None, d1=None, n2=None, d2=None, k=None), dict(k=7),
+        [(dict(kind="x"), "unknown conclusion kind 'x'"),
+         (dict(strength="x"), "unknown strength 'x'"),
+         (dict(kind="x", strength="x"), "unknown conclusion kind 'x'")],
+        None, id="Conclusion"),
+    pytest.param(
+        Rule, dict(name="phi", function="certify_phi", params=("locus1", "cs"),
+                   triples=("locus1",), facts=False),
+        dict(triples=(), facts=True), dict(name="psi"), [], None, id="Rule"),
+    pytest.param(
+        RegionBoundary, dict(genus=10, samples=((Fraction(1), Fraction(2)),
+                                                (Fraction(3, 2), Fraction(1, 2)))),
+        {}, dict(genus=11),
+        [(dict(samples=((1, 0), (1, 1))), "boundary samples must be strictly increasing in mu"),
+         (dict(samples=((2, 0), (1, 1))), "boundary samples must be strictly increasing in mu")],
+        None, id="RegionBoundary"),
+    pytest.param(
+        Certificate, dict(rule="phi", citation="c", conclusion=Conclusion("bn", "stable"),
+                          beta=1, hypotheses=[Hypothesis("h")], subcertificates=[],
+                          status="proved", witnesses={"w": 1}, level_required="general",
+                          curve=CurveClass(7, "general"), notes=["n"], inputs={"d": 2}),
+        {}, dict(beta=2), [], None, id="Certificate"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, other, refusals, shown", VALUE_CLASSES)
+def test_value_class_contract(cls, fields, defaults, other, refusals, shown):
+    value = cls(*fields.values())
+    assert [getattr(value, name) for name in fields] == list(fields.values())
+    assert value == cls(**fields)
+    assert value != cls(**{**fields, **other})
+    given = {name: v for name, v in fields.items() if name not in defaults}
+    assert cls(**given) == cls(**{**fields, **defaults})
+    for change, message in refusals:
+        with pytest.raises(ValueError) as info:
+            cls(**{**fields, **change})
+        assert str(info.value) == message
+    if cls is Certificate:
+        # the one mutable class: unhashable, and tests tamper with it
+        assert Certificate.__hash__ is None
+        value.beta = 2
+        assert value == cls(**{**fields, **other})
+    else:
+        assert hash(value) == hash(cls(**fields))
+        assert len({value, cls(**fields)}) == 1
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+    if shown is not None:
+        assert repr(shown[0]) == shown[1]
 
 
 # ---------------------------------------------------------------------------

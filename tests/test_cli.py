@@ -140,6 +140,14 @@ def test_certify_t4_ex11(capsys):
     assert cert["witnesses"]["k"] == 5
 
 
+def test_certify_t4_refuses_a_kernel_of_rank_zero(capsys):
+    # v = n: the kernel of the evaluation map would have rank 0
+    argv = ["certify", "t4", "--curve", "general:2", "--n1", "2", "--d1", "0",
+            "--k1", "3", "--n", "1", "--e", "1", "--f", "0", "--d", "2"]
+    assert run(capsys, argv) == (
+        4, "", "kernel rank v - n = 0 is not positive\nno certificate\n")
+
+
 def test_certify_usage_errors(capsys):
     code, _, _ = run(capsys, ["certify", "unknown-rule", "--curve", "general:5"])
     assert code == 2
