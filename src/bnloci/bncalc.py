@@ -62,6 +62,19 @@ def _locus(locus: tuple[int, int, int]) -> tuple[int, int, int]:
     return n, d, k
 
 
+def _ascii_int(text: str) -> int:
+    """The integer written as " *-?[0-9]+ *": an optional "-" and ASCII
+    digits, spaces around allowed.  int() would also read "+5", "1_0",
+    Arabic-Indic digits and tabs."""
+    digits = text.strip(" ")
+    if not (digits.isascii() and digits.removeprefix("-").isdigit()):
+        raise ValueError("invalid literal for int() with base 10: %r" % (text,))
+    return int(text)
+
+
+_ascii_int.__name__ = "int"  # argparse reports "invalid int value: ..."
+
+
 def _check_genus(g: int) -> None:
     if g < 2:
         raise ValueError("genus must be at least 2, got %r" % (g,))

@@ -23,13 +23,14 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .bncalc import (
+    _ascii_int,
     _check_genus,
     _locus,
     beta_classical,
@@ -92,20 +93,23 @@ def _diag(diagnostics: Optional[list[str]], message: str) -> None:
         diagnostics.append(message)
 
 
-@dataclass(frozen=True)
-class CurveClass:
+# Value classes are namedtuples whose __new__ checks the fields (_make and
+# _replace skip it), except the mutable Certificate.
+
+
+class CurveClass(namedtuple("CurveClass", "genus level hyperelliptic")):
     """Genus plus assumption level and hyperelliptic flag of the base curve."""
 
-    genus: int
-    level: str = "smooth"
-    hyperelliptic: str = "unknown"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_genus(self.genus)
-        if self.level not in _LEVEL_RANK:
-            raise ValueError("unknown curve level %r" % (self.level,))
-        if self.hyperelliptic not in ("yes", "no", "unknown"):
-            raise ValueError("unknown hyperelliptic flag %r" % (self.hyperelliptic,))
+    def __new__(cls, genus: int, level: str = "smooth",
+                hyperelliptic: str = "unknown") -> CurveClass:
+        _check_genus(genus)
+        if level not in _LEVEL_RANK:
+            raise ValueError("unknown curve level %r" % (level,))
+        if hyperelliptic not in ("yes", "no", "unknown"):
+            raise ValueError("unknown hyperelliptic flag %r" % (hyperelliptic,))
+        return tuple.__new__(cls, (genus, level, hyperelliptic))
 
     def satisfies(self, required: str) -> bool:
         """True when this curve class implies the required one."""
@@ -120,7 +124,7 @@ class CurveClass:
                 "curve must look like level:genus[,hyp|nonhyp], got %r" % (text,)
             )
         parts = tail.split(",")
-        genus = int(parts[0])
+        genus = _ascii_int(parts[0])
         hyper = "unknown"
         for flag in parts[1:]:
             if flag == "hyp":
@@ -132,24 +136,19 @@ class CurveClass:
         return cls(genus=genus, level=head, hyperelliptic=hyper)
 
     def to_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "level": self.level,
-            "hyperelliptic": self.hyperelliptic,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class GenusConstraint:
+class GenusConstraint(namedtuple("GenusConstraint", "equals minimum parity")):
     """Genus predicate of a fact: equality, lower bound and parity combine."""
 
-    equals: int | None = None
-    minimum: int | None = None
-    parity: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.parity not in (None, "odd", "even"):
-            raise ValueError("parity must be odd or even, got %r" % (self.parity,))
+    def __new__(cls, equals: int | None = None, minimum: int | None = None,
+                parity: str | None = None) -> GenusConstraint:
+        if parity not in (None, "odd", "even"):
+            raise ValueError("parity must be odd or even, got %r" % (parity,))
+        return tuple.__new__(cls, (equals, minimum, parity))
 
     def matches(self, g: int) -> bool:
         if self.equals is not None and g != self.equals:
@@ -173,14 +172,8 @@ class GenusConstraint:
         return ", ".join(pieces) if pieces else "any g >= 2"
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        if self.equals is not None:
-            out["equals"] = self.equals
-        if self.minimum is not None:
-            out["min"] = self.minimum
-        if self.parity is not None:
-            out["parity"] = self.parity
-        return out
+        return {key: value for key, value in zip(("equals", "min", "parity"), self)
+                if value is not None}
 
 
 _ABSENT = object()
@@ -227,8 +220,8 @@ def _degree_offset(text: str) -> int:
                          % (text,)) from None
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(namedtuple("Fact", "kind n sections degree degree_offset_from_genus "
+                              "level genus citation builtin")):
     """A cited non-emptiness fact.
 
     kind "S" asserts a generated coherent system of type (n, d, sections)
@@ -237,27 +230,24 @@ class Fact:
     is either absolute or an offset from the genus (d = g + offset).
     """
 
-    kind: str
-    n: int
-    sections: int
-    degree: int | None = None
-    degree_offset_from_genus: int | None = None
-    level: str = "smooth"
-    genus: GenusConstraint = field(default_factory=GenusConstraint)
-    citation: str = ""
-    builtin: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("S", "B", "Btilde"):
-            raise ValueError("fact kind must be S, B or Btilde, got %r" % (self.kind,))
-        if self.n < 1 or self.sections < 1:
+    def __new__(cls, kind: str, n: int, sections: int, degree: int | None = None,
+                degree_offset_from_genus: int | None = None, level: str = "smooth",
+                genus: GenusConstraint = GenusConstraint(), citation: str = "",
+                builtin: bool = False) -> Fact:
+        if kind not in ("S", "B", "Btilde"):
+            raise ValueError("fact kind must be S, B or Btilde, got %r" % (kind,))
+        if n < 1 or sections < 1:
             raise ValueError("fact rank and section count must be positive")
-        if (self.degree is None) == (self.degree_offset_from_genus is None):
+        if (degree is None) == (degree_offset_from_genus is None):
             raise ValueError("exactly one of degree / genus offset must be set")
-        if self.level not in _LEVEL_RANK:
-            raise ValueError("unknown curve level %r" % (self.level,))
-        if not self.citation:
+        if level not in _LEVEL_RANK:
+            raise ValueError("unknown curve level %r" % (level,))
+        if not citation:
             raise ValueError("every fact must carry a citation")
+        return tuple.__new__(cls, (kind, n, sections, degree, degree_offset_from_genus,
+                                   level, genus, citation, builtin))
 
     def degree_at(self, g: int) -> int:
         if self.degree is not None:
@@ -265,13 +255,8 @@ class Fact:
         return g + self.degree_offset_from_genus
 
     def key(self) -> tuple:
-        return (
-            self.kind,
-            self.n,
-            self.sections,
-            self.degree,
-            self.degree_offset_from_genus,
-        )
+        """(kind, n, sections, degree, degree_offset_from_genus)"""
+        return self[:5]
 
     def matches(self, genus: int, n: int, d: int, sections: int) -> bool:
         return (
@@ -439,20 +424,18 @@ class FactDatabase:
         return self._find(("Btilde",), genus, n, d, k)
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(namedtuple("Hypothesis", "description status")):
     """One recorded hypothesis: checked arithmetically, or assumed."""
 
-    description: str
-    status: str = "checked"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.status not in ("checked", "assumed"):
+    def __new__(cls, description: str, status: str = "checked") -> Hypothesis:
+        if status not in ("checked", "assumed"):
             raise ValueError("hypothesis status must be checked or assumed")
+        return tuple.__new__(cls, (description, status))
 
 
-@dataclass(frozen=True)
-class Conclusion:
+class Conclusion(namedtuple("Conclusion", "kind strength n1 d1 n2 d2 k")):
     """What a certificate asserts: a locus of one of four kinds.
 
     kind "universal" is the two-sided locus (n1, d1) x (n2, d2) with k
@@ -462,48 +445,55 @@ class Conclusion:
     (n1, d1).  Strength "semistable" means the tilde (semistable) variant.
     """
 
-    kind: str
-    strength: str
-    n1: int | None = None
-    d1: int | None = None
-    n2: int | None = None
-    d2: int | None = None
-    k: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("universal", "bn", "s", "twisted"):
-            raise ValueError("unknown conclusion kind %r" % (self.kind,))
-        if self.strength not in _STRENGTH_RANK:
-            raise ValueError("unknown strength %r" % (self.strength,))
+    def __new__(cls, kind: str, strength: str, n1: int | None = None,
+                d1: int | None = None, n2: int | None = None, d2: int | None = None,
+                k: int | None = None) -> Conclusion:
+        if kind not in ("universal", "bn", "s", "twisted"):
+            raise ValueError("unknown conclusion kind %r" % (kind,))
+        if strength not in _STRENGTH_RANK:
+            raise ValueError("unknown strength %r" % (strength,))
+        return tuple.__new__(cls, (kind, strength, n1, d1, n2, d2, k))
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n1": self.n1,
-            "d1": self.d1,
-            "n2": self.n2,
-            "d2": self.d2,
-            "k": self.k,
-            "strength": self.strength,
-        }
+        return {"kind": self.kind, "n1": self.n1, "d1": self.d1, "n2": self.n2,
+                "d2": self.d2, "k": self.k, "strength": self.strength}
 
 
-@dataclass
 class Certificate:
-    """A machine-checkable derivation: rule, hypotheses, witnesses, subtree."""
+    """A machine-checkable derivation: rule, hypotheses, witnesses, subtree.
 
-    rule: str
-    citation: str
-    conclusion: Conclusion
-    beta: int | None
-    hypotheses: list[Hypothesis]
-    subcertificates: list["Certificate"]
-    status: str
-    witnesses: dict
-    level_required: str
-    curve: CurveClass
-    notes: list[str]
-    inputs: dict
+    The one mutable value class: equal by value, hence unhashable."""
+
+    __slots__ = ("rule", "citation", "conclusion", "beta", "hypotheses",
+                 "subcertificates", "status", "witnesses", "level_required",
+                 "curve", "notes", "inputs")
+
+    def __init__(self, rule: str, citation: str, conclusion: Conclusion,
+                 beta: int | None, hypotheses: list[Hypothesis],
+                 subcertificates: list[Certificate], status: str, witnesses: dict,
+                 level_required: str, curve: CurveClass, notes: list[str],
+                 inputs: dict) -> None:
+        (self.rule, self.citation, self.conclusion, self.beta, self.hypotheses,
+         self.subcertificates, self.status, self.witnesses, self.level_required,
+         self.curve, self.notes, self.inputs) = (
+            rule, citation, conclusion, beta, hypotheses, subcertificates, status,
+            witnesses, level_required, curve, notes, inputs)
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "Certificate(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
 
     def to_dict(self) -> dict:
         return {
@@ -511,10 +501,8 @@ class Certificate:
             "citation": self.citation,
             "conclusion": self.conclusion.to_dict(),
             "beta": self.beta,
-            "hypotheses": [
-                {"description": h.description, "status": h.status}
-                for h in self.hypotheses
-            ],
+            "hypotheses": [{"description": h.description, "status": h.status}
+                           for h in self.hypotheses],
             "subcertificates": [s.to_dict() for s in self.subcertificates],
             "status": self.status,
             "witnesses": dict(self.witnesses),
@@ -1597,8 +1585,8 @@ def certify_c8(
 # Rule registry and revalidation
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(namedtuple("Rule", "name function params triples facts",
+                      defaults=((), True))):
     """One certificate rule.
 
     `function` names the certkit function that runs it; `params` are that
@@ -1608,11 +1596,7 @@ class Rule:
     database after them.
     """
 
-    name: str
-    function: str
-    params: tuple[str, ...]
-    triples: tuple[str, ...] = ()
-    facts: bool = True
+    __slots__ = ()
 
 
 RULES: dict[str, Rule] = {rule.name: rule for rule in (

@@ -20,6 +20,7 @@ import os
 import sys
 
 from .bncalc import (
+    _ascii_int,
     beta_classical,
     beta_twisted,
     beta_universal,
@@ -72,24 +73,24 @@ def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("expected n,d but got %r" % (text,))
-    return int(parts[0]), int(parts[1])
+    return _ascii_int(parts[0]), _ascii_int(parts[1])
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("expected three comma-separated integers, got %r" % (text,))
-    return int(parts[0]), int(parts[1]), int(parts[2])
+    return _ascii_int(parts[0]), _ascii_int(parts[1]), _ascii_int(parts[2])
 
 
 def _parse_span(text: str) -> range:
     """Parse "a..b" (inclusive, a <= b) or a single integer."""
     if ".." in text:
-        lo, hi = map(int, text.split("..", 1))
+        lo, hi = map(_ascii_int, text.split("..", 1))
         if hi < lo:
             raise ValueError("span %r runs backwards" % (text,))
         return range(lo, hi + 1)
-    value = int(text)
+    value = _ascii_int(text)
     return range(value, value + 1)
 
 
@@ -107,12 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_beta = sub.add_parser("beta", help="evaluate a BN number")
     p_beta.add_argument("variant", choices=("classical", "twisted", "universal"))
-    p_beta.add_argument("--g", type=int, required=True)
-    p_beta.add_argument("--n", type=int)
-    p_beta.add_argument("--d", type=int)
+    p_beta.add_argument("--g", type=_ascii_int, required=True)
+    p_beta.add_argument("--n", type=_ascii_int)
+    p_beta.add_argument("--d", type=_ascii_int)
     p_beta.add_argument("--b1")
     p_beta.add_argument("--b2")
-    p_beta.add_argument("--k", type=int, required=True)
+    p_beta.add_argument("--k", type=_ascii_int, required=True)
     p_beta.add_argument("--format", choices=("text", "json"), default="text")
     p_beta.set_defaults(func=_cmd_beta)
 
@@ -125,15 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
         if flag in triples:
             p_cert.add_argument("--" + flag, help=TRIPLE_HELP[flag])
         else:
-            p_cert.add_argument("--" + flag, type=int)
+            p_cert.add_argument("--" + flag, type=_ascii_int)
     p_cert.add_argument("--facts")
     p_cert.set_defaults(func=_cmd_certify)
 
     p_sweep = sub.add_parser("sweep", help="emit a deterministic CSV sweep")
     p_sweep.add_argument("kind", choices=("table1", "table2", "ex40", "bnmap"))
-    p_sweep.add_argument("--g", type=int, default=10)
+    p_sweep.add_argument("--g", type=_ascii_int, default=10)
     p_sweep.add_argument("--locus1", default="6,22,7")
-    p_sweep.add_argument("--n1", type=int)
+    p_sweep.add_argument("--n1", type=_ascii_int)
     p_sweep.add_argument("--n2", default=None, help="range a..b or single value")
     p_sweep.add_argument("--family", choices=("dmin",), default="dmin")
     p_sweep.add_argument("--boundary", help="boundary CSV of mu,lambda samples")

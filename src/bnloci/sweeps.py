@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
-from .bncalc import _check_genus, _locus, beta_universal
+from .bncalc import _ascii_int, _check_genus, _locus, beta_universal
 from .exactnum import ceil_ratio, floor_ratio, make_rational
 
 __all__ = [
@@ -69,8 +69,7 @@ TABLE2_HEADER = "n2,g_min,paper_g_min"
 BNMAP_HEADER = "mu0_num,mu0_den,lambda0_num,lambda0_den,classification"
 EX40_HEADER = "n1,g,d1,k,beta"
 
-@dataclass(frozen=True)
-class RegionBoundary:
+class RegionBoundary(namedtuple("RegionBoundary", "genus samples")):
     """Sampled upper boundary of a known non-emptiness region.
 
     Samples are (mu, lambda) pairs with strictly increasing mu; queries
@@ -78,13 +77,14 @@ class RegionBoundary:
     are unknown.  A point strictly above the boundary is new.
     """
 
-    genus: int
-    samples: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for (m1, _), (m2, _) in zip(self.samples, self.samples[1:]):
+    def __new__(cls, genus: int,
+                samples: tuple[tuple[Fraction, Fraction], ...]) -> RegionBoundary:
+        for (m1, _), (m2, _) in zip(samples, samples[1:]):
             if not m1 < m2:
                 raise ValueError("boundary samples must be strictly increasing in mu")
+        return tuple.__new__(cls, (genus, samples))
 
     @classmethod
     def from_csv(cls, path: str | Path, genus: int) -> "RegionBoundary":
@@ -114,11 +114,10 @@ class RegionBoundary:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return make_rational(int(num), int(den))
-    return Fraction(int(text))
+        return make_rational(_ascii_int(num), _ascii_int(den))
+    return Fraction(_ascii_int(text))
 
 
 def dmin_formula(g: int, n2: int) -> int:

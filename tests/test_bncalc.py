@@ -5,11 +5,15 @@ of the defining expressions and frozen here; criteria are cross-checked
 against the sign of the corresponding BN number on exhaustive grids.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnloci.bncalc import (
+    _ascii_int,
     asympt_neg,
     beta_classical,
     beta_twisted,
@@ -270,3 +274,17 @@ def test_beta_universal_twist_invariance():
                                     (n2, d2 + n2 * ell),
                                     k,
                                 )
+
+
+# Signs, ASCII and other digits, underscores and whitespace, in any order.
+NUMERAL_TEXT = st.text(st.sampled_from(" -+019_\t\n\u00a0\u0663\u00b2x"), max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(NUMERAL_TEXT)
+def test_ascii_int_reads_only_the_ascii_form(text):
+    if re.fullmatch(r" *-?[0-9]+ *", text):
+        assert _ascii_int(text) == int(text)
+    else:
+        with pytest.raises(ValueError, match="^invalid literal for int"):
+            _ascii_int(text)

@@ -640,3 +640,69 @@ def test_boundary_field_beyond_the_csv_limit_is_usage_error(capsys, tmp_path):
     argv = ["sweep", "bnmap", "--n2", "2..3", "--boundary", str(path)]
     assert run(capsys, argv) == (
         2, "", "error: field larger than field limit (131072)\n")
+
+
+# int() also reads Unicode digits, underscores, a leading "+" and any
+# surrounding whitespace; integer arguments and CSV fields take only an
+# optional "-" and ASCII digits, with spaces around them.
+NOT_AN_INT = "error: invalid literal for int() with base 10: %r\n"
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["beta", "universal", "--g", "6", "--b1", "2,1_0", "--b2", "4,-10", "--k", "5"],
+     "1_0"),
+    (["certify", "phi", "--curve", "general:7", "--locus1", "5,1\u0662,6",
+      "--cs", "2,10,4"], "1\u0662"),
+    (["sweep", "table2", "--n2", "2..1_0"], "1_0"),
+    (["sweep", "table2", "--n2", "\u0663"], "\u0663"),
+    (["certify", "np1", "--curve", "general:1_0", "--n1", "6", "--d1", "15"], "1_0"),
+    (["certify", "np1", "--curve", "general:\u0661\u0660", "--n1", "6", "--d1", "15"],
+     "\u0661\u0660"),
+    (["sweep", "table1", "--locus1", "+6,22,7"], "+6"),
+    (["sweep", "table1", "--locus1", "6,\t22,7"], "\t22"),
+])
+def test_integer_texts_are_ascii_digits(capsys, argv, bad):
+    assert run(capsys, argv) == (2, "", NOT_AN_INT % bad)
+
+
+@pytest.mark.parametrize("argv, flag, bad", [
+    ("beta classical --g \u0661\u0660 --n 1 --d 9 --k 3", "--g", "\u0661\u0660"),
+    ("beta classical --g 10 --n 1 --d 9 --k +3", "--k", "+3"),
+    ("certify np1 --curve general:10 --n1 6 --d1 1_5", "--d1", "1_5"),
+    ("sweep ex40 --n1 \u0663", "--n1", "\u0663"),
+    ("sweep table1 --g 1\t", "--g", "1\t"),
+])
+def test_integer_flags_are_ascii_digits(capsys, argv, flag, bad):
+    code, out, err = run(capsys, argv.split(" "))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "bnloci %s: error: argument %s: invalid int value: %r" % (
+        argv.split()[0], flag, bad)
+
+
+def test_invalid_int_message_keeps_its_bytes(capsys):
+    code, out, err = run(capsys, ["certify", "np1", "--curve", "general:10",
+                                  "--n1", "x", "--d1", "15"])
+    assert (code, out) == (2, "")
+    assert err.endswith("\nbnloci certify: error: argument --n1: invalid int value: 'x'\n")
+
+
+@pytest.mark.parametrize("row, bad", [
+    ("\u0663,2", "\u0663"), ("1_0,1", "1_0"), ("+3,1", "+3"), ("3,1/\t2", "\t2"),
+])
+def test_boundary_fields_are_ascii_integers(capsys, tmp_path, row, bad):
+    path = tmp_path / "b.csv"
+    path.write_text("mu,lambda\n%s\n" % row, encoding="utf-8")
+    argv = ["sweep", "bnmap", "--n2", "2..3", "--boundary", str(path)]
+    assert run(capsys, argv) == (2, "", NOT_AN_INT % bad)
+
+
+def test_spaces_around_integers_are_kept(capsys, tmp_path):
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(" 3 , 1 / 2 \n4,2/3\n", encoding="utf-8")
+    plain = tmp_path / "plain.csv"
+    plain.write_text("3,1/2\n4,2/3\n", encoding="utf-8")
+    expected = run(capsys, ["sweep", "bnmap", "--locus1", "6,22,7", "--n2", "2..6",
+                            "--boundary", str(plain)])
+    assert expected[0] == 0
+    assert run(capsys, ["sweep", "bnmap", "--locus1", " 6, 22 ,7", "--n2", "2 .. 6",
+                        "--boundary", str(spaced)]) == expected

@@ -5,8 +5,10 @@ with JSON on stdout only with a certificate.  `beta`, `sweep` and `facts`
 exit 0 or 2, with nothing on stdout on 2.  No request may raise.
 
 Rules and flags are drawn from the rule registry, so every rule and every
-flag the CLI derives from it is exercised.  Sweeps read boundary files with
-short and malformed rows; facts records and files hold floats, bools,
+flag the CLI derives from it is exercised.  Integer arguments and boundary
+fields are sometimes numerals that int() reads but the CLI refuses: non-ASCII
+digits, underscores, a leading "+" or a tab; a certify request holding one
+exits 2.  Sweeps read boundary files with short and malformed rows; facts records and files hold floats, bools,
 numeric strings and nested arrays where integers belong, degrees with
 non-ASCII digits or underscores, and citations in non-ASCII text or with
 lone surrogates that UTF-8 cannot encode."""
@@ -22,6 +24,8 @@ from bnloci.certkit import RULES as RULE_TABLE
 from bnloci.cli import RULES, main
 
 INTS = st.integers(-3, 40)
+# int() reads each of these; the CLI refuses them all.
+UNREADABLE = st.sampled_from(("\u0663", "\u0661\u0660", "1_0", "+4", "\t5"))
 FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -44,20 +48,28 @@ def assert_exits_0_or_2(argv):
 
 @st.composite
 def certify_requests(draw):
+    refused = []
+
+    def numeral():
+        if draw(st.integers(0, 29)) == 0:
+            refused.append(draw(UNREADABLE))
+            return refused[-1]
+        return str(draw(INTS))
+
     rule = draw(st.sampled_from(RULES))
     level = draw(st.sampled_from(("smooth", "petri", "general")))
     suffix = draw(st.sampled_from(("", ",hyp", ",nonhyp")))
-    argv = ["certify", rule, "--curve", "%s:%d%s" % (level, draw(INTS), suffix)]
+    argv = ["certify", rule, "--curve", "%s:%s%s" % (level, numeral(), suffix)]
     spec = RULE_TABLE[rule]
     for param in spec.params:
         if draw(st.integers(0, 9)) == 0:
             continue  # a missing flag
         if param in spec.triples:
-            value = ",".join(str(draw(INTS)) for _ in range(3))
+            value = ",".join(numeral() for _ in range(3))
         else:
-            value = str(draw(INTS))
+            value = numeral()
         argv += ["--" + param, value]
-    return rule, argv
+    return rule, argv, bool(refused)
 
 
 @settings(max_examples=400, deadline=None,
@@ -65,9 +77,9 @@ def certify_requests(draw):
 @given(certify_requests())
 def test_certify_exit_contract(monkeypatch, request_):
     monkeypatch.delenv("BNLOCI_FACTS", raising=False)
-    rule, argv = request_
+    rule, argv, refused = request_
     code, out, _ = run_main(argv)
-    assert code in (0, 2, 3, 4), (argv, code)
+    assert code in ((2,) if refused else (0, 2, 3, 4)), (argv, code)
     if code in (2, 4):
         assert out == "", argv
     else:
@@ -88,7 +100,8 @@ def joined(*parts):
 
 OMIT = st.just(None)
 MALFORMED = OMIT | st.sampled_from(("", "x", "1,x", ",", "2;5", "1.5", "..", "3..",
-                                    "..4", "2..x", "2...4", "1,2,3,4"))
+                                    "..4", "2..x", "2...4", "1,2,3,4", "2..1_0",
+                                    "1,\u0662", "\u0663,2,1")) | UNREADABLE
 GENERA = mostly(st.integers(2, 14), INTS | MALFORMED)
 RANKS = st.integers(1, 5)
 DEGREES = st.integers(-10, 30)
@@ -129,7 +142,8 @@ MU_LAMBDA = st.tuples(st.integers(0, 20), st.integers(0, 9), st.integers(1, 4))
 SAMPLE_ROWS = st.lists(MU_LAMBDA, max_size=4, unique_by=lambda s: s[0]).map(
     lambda samples: ["%d,%d/%d" % s for s in sorted(samples)])
 FIELDS = (INTS.map(str) | st.tuples(INTS, INTS).map(lambda pq: "%d/%d" % pq)
-          | st.sampled_from(("", "mu", "x", "1/", "/2", "1.5", " 3 ")))
+          | st.sampled_from(("", "mu", "x", "1/", "/2", "1.5", " 3 ", "1/\u0662"))
+          | UNREADABLE)
 # A short row, a long row, or up to three arbitrary fields.
 BAD_ROWS = (INTS.map(str) | joined(INTS, INTS, INTS)
             | st.lists(FIELDS, max_size=3).map(",".join))
