@@ -2,6 +2,7 @@
 revalidation.  Frozen numeric witnesses come from direct evaluation of the
 BN-number formulas."""
 
+import copy
 import json
 import math
 from fractions import Fraction
@@ -714,10 +715,60 @@ def test_revalidation_of_worked_certificates(facts):
         assert revalidate(cert, facts)
 
 
-def test_revalidation_detects_tampering(facts):
-    cert = certify_phi(CurveClass(7, "general"), (5, 12, 6), (2, 10, 4), facts)
-    cert.beta = cert.beta + 1
-    assert not revalidate(cert, facts)
+# The README's phi certificate, with B and S sub-certificates, and a built-in
+# fact certificate.
+TAMPERED_CERTIFICATES = {
+    "phi": lambda facts: certify_phi(
+        CurveClass(7, "general"), (5, 12, 6), (2, 10, 4), facts),
+    "fact": lambda facts: s_nonempty(CurveClass(7, "general"), (2, 10, 4), facts),
+}
+
+
+def _bump_d1(cert):
+    if cert.rule == "fact":
+        cert.inputs["d"] += 1
+    else:
+        cert.inputs["locus1"][1] += 1
+
+
+def _bump_first_witness(cert):
+    key = next(iter(cert.witnesses))
+    cert.witnesses[key] += 1
+
+
+# One change per case, made on a deep copy; None leaves the copy untouched.
+TAMPERINGS = {
+    "untouched": None,
+    "citation": lambda c: setattr(c, "citation", c.citation + " (edited)"),
+    "strength": lambda c: setattr(
+        c, "conclusion", c.conclusion._replace(strength="semistable")),
+    "beta": lambda c: setattr(c, "beta", c.beta + 1),
+    "hypothesis-status": lambda c: c.hypotheses.__setitem__(
+        0, c.hypotheses[0]._replace(status="assumed")),
+    "subcertificate-dropped": lambda c: c.subcertificates.pop(),
+    "subcertificate-beta": lambda c: setattr(
+        c.subcertificates[0], "beta", c.subcertificates[0].beta + 1),
+    "status": lambda c: setattr(c, "status", "conditional"),
+    "witness": _bump_first_witness,
+    "level-required": lambda c: setattr(c, "level_required", "smooth"),
+    "curve": lambda c: setattr(c, "curve", CurveClass(9, "general")),
+    "note": lambda c: c.notes.append("edited"),
+    "input-d1": _bump_d1,
+}
+
+
+@pytest.mark.parametrize("which, tampering", [
+    pytest.param(which, name, id="%s-%s" % (which, name))
+    for name in TAMPERINGS for which in TAMPERED_CERTIFICATES
+    if not (which == "fact" and name.startswith("subcertificate"))
+])
+def test_revalidation_detects_tampering(facts, which, tampering):
+    cert = copy.deepcopy(TAMPERED_CERTIFICATES[which](facts))
+    if TAMPERINGS[tampering] is None:
+        assert revalidate(cert, facts)
+    else:
+        TAMPERINGS[tampering](cert)
+        assert not revalidate(cert, facts)
 
 
 def test_revalidation_of_a_builtin_fact_certificate(facts):
