@@ -1633,17 +1633,24 @@ def run_rule(
 
 def revalidate(cert: Certificate, facts: FactDatabase | None = None) -> bool:
     """Re-run the producing rule from the certificate's stored inputs and
-    compare the full serialized trees.  True only on exact agreement."""
+    compare the full serialized trees.  True only on exact agreement; False
+    also when the rule cannot run on the inputs record."""
     facts = facts if facts is not None else FactDatabase()
     inputs = cert.inputs
-    if cert.rule == "fact":
-        fact = facts._find(
-            (inputs["kind"],), cert.curve.genus, inputs["n"], inputs["d"],
-            inputs["sections"],
-        )
-        fresh = None if fact is None else _fact_certificate(fact, cert.curve)
-    elif cert.rule in RULES:
-        fresh = run_rule(cert.rule, cert.curve, inputs, facts)
-    else:
+    rule = RULES.get(cert.rule)
+    keys = ("kind", "n", "d", "sections") if cert.rule == "fact" else (
+        rule and rule.params)
+    if not keys or inputs.keys() != set(keys):
+        return False
+    try:
+        if rule is None:
+            fact = facts._find(
+                (inputs["kind"],), cert.curve.genus, inputs["n"], inputs["d"],
+                inputs["sections"],
+            )
+            fresh = None if fact is None else _fact_certificate(fact, cert.curve)
+        else:
+            fresh = run_rule(cert.rule, cert.curve, inputs, facts)
+    except ValueError:
         return False
     return fresh is not None and fresh.to_dict() == cert.to_dict()

@@ -731,6 +731,13 @@ def _bump_d1(cert):
         cert.inputs["locus1"][1] += 1
 
 
+def _zero_rank(cert):
+    if cert.rule == "fact":
+        cert.inputs["n"] = 0
+    else:
+        cert.inputs["locus1"] = [0, 12, 6]
+
+
 def _bump_first_witness(cert):
     key = next(iter(cert.witnesses))
     cert.witnesses[key] += 1
@@ -754,6 +761,10 @@ TAMPERINGS = {
     "curve": lambda c: setattr(c, "curve", CurveClass(9, "general")),
     "note": lambda c: c.notes.append("edited"),
     "input-d1": _bump_d1,
+    # records the rule cannot run
+    "input-missing": lambda c: c.inputs.popitem(),
+    "input-added": lambda c: c.inputs.__setitem__("extra", 1),
+    "input-rank-zero": _zero_rank,
 }
 
 
