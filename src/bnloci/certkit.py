@@ -26,6 +26,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -481,19 +482,18 @@ class Certificate:
             rule, citation, conclusion, beta, hypotheses, subcertificates, status,
             witnesses, level_required, curve, notes, inputs)
 
-    def _values(self) -> list:
-        return [getattr(self, name) for name in self.__slots__]
+    _values = property(attrgetter(*__slots__))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return "Certificate(%s)" % ", ".join(
-            "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
+            "%s=%r" % pair for pair in zip(self.__slots__, self._values))
 
     def to_dict(self) -> dict:
         return {
@@ -527,35 +527,50 @@ _SCALARS = {
 _scalar = _SCALARS.get
 
 
-def _write(value, indent: str) -> str:
-    # Containers look their scalar members up inline: a call per leaf is
-    # most of what the writer would otherwise spend.
+def _write(value, indent: str, append) -> None:
+    # Every piece goes to one list, joined once by dumps_indented.  Containers
+    # look their scalar members up inline: a call per leaf is most of what
+    # the writer would otherwise spend.
     kind = type(value)
-    inner = indent + "  "
     if kind is dict:
         if not value:
-            return "{}"
-        items = []
+            append("{}")
+            return
+        inner = indent + "  "
+        sep, after = "{\n" + inner, ",\n" + inner
         for key, item in value.items():
             text = _scalar(type(item))
+            append(sep)
+            sep = after
             # encode_basestring_ascii raises TypeError for a non-str key.
-            items.append(
-                encode_basestring_ascii(key) + ": "
-                + (text(item) if text is not None else _write(item, inner))
-            )
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if kind is list or kind is tuple:
+            append(encode_basestring_ascii(key))
+            append(": ")
+            if text is not None:
+                append(text(item))
+            else:
+                _write(item, inner, append)
+        append("\n" + indent + "}")
+    elif kind is list or kind is tuple:
         if not value:
-            return "[]"
-        items = []
+            append("[]")
+            return
+        inner = indent + "  "
+        sep, after = "[\n" + inner, ",\n" + inner
         for item in value:
             text = _scalar(type(item))
-            items.append(text(item) if text is not None else _write(item, inner))
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    text = _scalar(kind)
-    if text is None:
-        raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
-    return text(value)
+            append(sep)
+            sep = after
+            if text is not None:
+                append(text(item))
+            else:
+                _write(item, inner, append)
+        append("\n" + indent + "]")
+    else:
+        text = _scalar(kind)
+        if text is None:
+            raise TypeError(
+                "Object of type %s is not JSON serializable" % kind.__name__)
+        append(text(value))
 
 
 def dumps_indented(value) -> str:
@@ -566,7 +581,9 @@ def dumps_indented(value) -> str:
     bool and None; anything else, such as a Fraction or a float, raises
     TypeError.
     """
-    return _write(value, "")
+    out: list[str] = []
+    _write(value, "", out.append)
+    return "".join(out)
 
 
 def _finish(
@@ -585,24 +602,13 @@ def _finish(
     """The common tail of every rule: the required curve level is the
     strongest over the node and its sub-certificates, and the node is proved
     when every hypothesis is checked and every sub-certificate proved."""
-    level = _max_level(own_level, *[s.level_required for s in subcertificates])
-    proved = all(h.status == "checked" for h in hypotheses) and all(
-        s.status == "proved" for s in subcertificates
-    )
-    return Certificate(
-        rule=rule,
-        citation=citation,
-        conclusion=conclusion,
-        beta=beta,
-        hypotheses=hypotheses,
-        subcertificates=list(subcertificates),
-        status="proved" if proved else "conditional",
-        witnesses=witnesses,
-        level_required=level,
-        curve=curve,
-        notes=list(notes),
-        inputs=inputs,
-    )
+    level, proved = own_level, all(h.status == "checked" for h in hypotheses)
+    for sub in subcertificates:
+        level = _max_level(level, sub.level_required)
+        proved = proved and sub.status == "proved"
+    return Certificate(rule, citation, conclusion, beta, hypotheses,
+                       list(subcertificates), "proved" if proved else "conditional",
+                       witnesses, level, curve, list(notes), inputs)
 
 
 def _inputs(rule: str, *values) -> dict:
@@ -1633,7 +1639,8 @@ def run_rule(
 
 def revalidate(cert: Certificate, facts: FactDatabase | None = None) -> bool:
     """Re-run the producing rule from the certificate's stored inputs and
-    compare the full serialized trees.  True only on exact agreement; False
+    compare the fresh certificate with the given one by value, field by field
+    and through every sub-certificate.  True only on exact agreement; False
     also when the rule cannot run on the inputs record."""
     facts = facts if facts is not None else FactDatabase()
     inputs = cert.inputs
@@ -1644,13 +1651,11 @@ def revalidate(cert: Certificate, facts: FactDatabase | None = None) -> bool:
         return False
     try:
         if rule is None:
-            fact = facts._find(
-                (inputs["kind"],), cert.curve.genus, inputs["n"], inputs["d"],
-                inputs["sections"],
-            )
+            fact = facts._find((inputs["kind"],), cert.curve.genus, inputs["n"],
+                               inputs["d"], inputs["sections"])
             fresh = None if fact is None else _fact_certificate(fact, cert.curve)
         else:
             fresh = run_rule(cert.rule, cert.curve, inputs, facts)
     except ValueError:
         return False
-    return fresh is not None and fresh.to_dict() == cert.to_dict()
+    return fresh == cert
