@@ -160,6 +160,23 @@ def test_certify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, err", [
+    ("beta twisted --g 6 --k 5", "beta twisted needs --b1 and --b2"),
+    ("beta universal --g 6 --b1 2 --b2 4,-10 --k 5",
+     "error: expected n,d but got '2'"),
+    ("sweep ex40", "sweep ex40 needs --n1"),
+    ("sweep bnmap", "sweep bnmap needs --n2"),
+    ("facts add", "facts add needs a JSON fact record"),
+    ("facts add {}",
+     "facts add needs --facts or BNLOCI_FACTS to know where to persist"),
+])
+def test_cli_usage_refusals(capsys, monkeypatch, argv, err):
+    """The refusals the CLI makes itself, after argparse: exit 2, nothing on
+    stdout and one line on stderr."""
+    monkeypatch.delenv("BNLOCI_FACTS", raising=False)
+    assert run(capsys, argv.split()) == (2, "", err + "\n")
+
+
 def test_sweep_table2_golden(capsys):
     code, out, _ = run(capsys, ["sweep", "table2"])
     assert code == 0
