@@ -124,10 +124,12 @@ class CurveClass(namedtuple("CurveClass", "genus level hyperelliptic")):
             raise ValueError(
                 "curve must look like level:genus[,hyp|nonhyp], got %r" % (text,)
             )
-        parts = tail.split(",")
-        genus = _ascii_int(parts[0])
+        genus, *flags = tail.split(",")
+        genus = _ascii_int(genus)
+        if len(flags) > 1:
+            raise ValueError("curve takes at most one flag, got %r" % (text,))
         hyper = "unknown"
-        for flag in parts[1:]:
+        for flag in flags:
             if flag == "hyp":
                 hyper = "yes"
             elif flag == "nonhyp":

@@ -177,6 +177,18 @@ def test_cli_usage_refusals(capsys, monkeypatch, argv, err):
     assert run(capsys, argv.split()) == (2, "", err + "\n")
 
 
+@pytest.mark.parametrize("curve, err", [
+    ("general:7,hyp,nonhyp",
+     "error: curve takes at most one flag, got 'general:7,hyp,nonhyp'"),
+    ("general:7,hyp,hyp",
+     "error: curve takes at most one flag, got 'general:7,hyp,hyp'"),
+    ("general:7,", "error: unknown curve flag ''"),
+], ids=["hyp-nonhyp", "hyp-hyp", "empty"])
+def test_curve_takes_at_most_one_flag(capsys, curve, err):
+    argv = ["certify", "np1", "--curve", curve, "--n1", "2", "--d1", "9"]
+    assert run(capsys, argv) == (2, "", err + "\n")
+
+
 def test_sweep_table2_golden(capsys):
     code, out, _ = run(capsys, ["sweep", "table2"])
     assert code == 0
