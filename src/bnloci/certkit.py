@@ -7,7 +7,10 @@ certificate is "proved" when every hypothesis was checked and every
 sub-certificate is itself proved; hypotheses that are existential over
 bundles and cannot be discharged arithmetically are recorded as assumed and
 leave the certificate "conditional".  Rules never upgrade strength: a stable
-conclusion is never derived from a semistable input.
+conclusion is never derived from a semistable input.  Every condition a rule
+can refuse on goes through one helper, `_check`, which records the checked
+hypothesis when the condition holds and the diagnostic when it fails, so the
+hypotheses come in the order the rule checked them.
 
 Curve assumptions form a lattice general > petri > smooth (a general curve
 is Petri, a Petri curve is smooth).  Constructive rules that need a general
@@ -89,9 +92,18 @@ def _max_level(*levels: str) -> str:
     return max(levels, key=_LEVEL_RANK.__getitem__)
 
 
-def _diag(diagnostics: Optional[list[str]], message: str) -> None:
-    if diagnostics is not None:
-        diagnostics.append(message)
+def _check(hypotheses: list[Hypothesis], diagnostics: Optional[list[str]],
+           holds: bool, passed: str | None, failed: str | None, *args) -> bool:
+    """One rule condition.  When it holds, append the checked hypothesis
+    `passed` (unless None); otherwise append the diagnostic `failed`.  Both
+    are str.format templates over args, each formatted only on its own
+    branch.  Returns holds."""
+    if holds:
+        if passed is not None:
+            hypotheses.append(Hypothesis(passed.format(*args)))
+    elif diagnostics is not None:
+        diagnostics.append(failed.format(*args))
+    return holds
 
 
 # Value classes are namedtuples whose __new__ checks the fields (_make and
@@ -677,15 +689,14 @@ def bn_line_nonempty(
     """
     if v < 1:
         raise ValueError("section count must be at least 1, got %r" % (v,))
-    if not curve.satisfies("petri"):
-        _diag(diagnostics, "line-bundle rule needs a Petri or general curve")
+    hypotheses: list[Hypothesis] = []
+    if not _check(hypotheses, diagnostics, curve.satisfies("petri"), None,
+                  "line-bundle rule needs a Petri or general curve"):
         return None
     beta = beta_classical(curve.genus, 1, d, v)
-    if beta < 0:
-        _diag(
-            diagnostics,
-            "beta(1,%d,%d) = %d < 0: no linear system of that type" % (d, v, beta),
-        )
+    if not _check(hypotheses, diagnostics, beta >= 0, "beta(1,{0},{1}) = {2} >= 0",
+                  "beta(1,{0},{1}) = {2} < 0: no linear system of that type",
+                  d, v, beta):
         return None
     conclusion = Conclusion(kind="bn", strength="stable", n1=1, d1=d, k=v)
     return _finish(
@@ -693,7 +704,7 @@ def bn_line_nonempty(
         citation=CITE_CLASSICAL_BN,
         conclusion=conclusion,
         beta=beta,
-        hypotheses=[Hypothesis("beta(1,%d,%d) = %d >= 0" % (d, v, beta))],
+        hypotheses=hypotheses,
         witnesses={"beta": beta},
         own_level="petri",
         curve=curve,
@@ -787,21 +798,17 @@ def bn_np1_nonempty(
     facts = facts if facts is not None else FactDatabase()
     g = curve.genus
     beta = beta_classical(g, 1, d1, n1 + 1)
-    if not curve.satisfies("petri"):
-        _diag(diagnostics, "no rule certifies B(n,d,n+1) on a merely smooth curve")
-        return None
     general = curve.satisfies("general")
-    if beta < 0:
-        _diag(
-            diagnostics,
-            "beta(1,%d,%d) = %d < 0: %s" % (
-                d1, n1 + 1, beta,
-                "the locus is empty on a general curve" if general
-                else "empty on any Petri curve",
-            ),
-        )
+    hypotheses: list[Hypothesis] = []
+    if not (
+        _check(hypotheses, diagnostics, curve.satisfies("petri"), None,
+               "no rule certifies B(n,d,n+1) on a merely smooth curve")
+        and _check(hypotheses, diagnostics, beta >= 0, "beta(1,{0},{1}) = {2} >= 0",
+                   "beta(1,{0},{1}) = {2} < 0: {3}", d1, n1 + 1, beta,
+                   "the locus is empty on a general curve" if general
+                   else "empty on any Petri curve")
+    ):
         return None
-    hypotheses = [Hypothesis("beta(1,%d,%d) = %d >= 0" % (d1, n1 + 1, beta))]
     notes = []
     if general:
         exceptional = g == 2 and d1 == 2 * n1
@@ -815,12 +822,11 @@ def bn_np1_nonempty(
         witnesses = {"beta": beta, "exceptional_genus2": exceptional}
     else:
         labels, used = _petri_cases(curve, n1, d1, facts)
-        if not labels:
-            _diag(diagnostics, "no known Petri stability case covers this degree")
+        if not _check(hypotheses, diagnostics, bool(labels),
+                      "Petri stability case(s) {0} hold",
+                      "no known Petri stability case covers this degree",
+                      ",".join(labels)):
             return None
-        hypotheses.append(
-            Hypothesis("Petri stability case(s) %s hold" % ",".join(labels))
-        )
         citation, strength = CITE_NP1_PETRI, "stable"
         level = _max_level("petri", *[f.level for f in used])
         witnesses = {"beta": beta, "cases": labels}
@@ -868,8 +874,8 @@ def s_nonempty(
     n, d, v = _cs(cs)
     facts = facts if facts is not None else FactDatabase()
     g = curve.genus
-    if v <= n:
-        _diag(diagnostics, "S(n,d,v) requires v > n")
+    hypotheses: list[Hypothesis] = []
+    if not _check(hypotheses, diagnostics, v > n, None, "S(n,d,v) requires v > n"):
         return None
     if n == 1:
         beta = beta_classical(g, 1, d, v)
@@ -886,9 +892,8 @@ def s_nonempty(
                         "semistable"
                     )
                 citation, level = CITE_S_GENERAL, "general"
-                hypotheses = [
-                    Hypothesis("beta(1,%d,%d) = %d >= 0" % (d, v, beta))
-                ]
+                hypotheses.append(
+                    Hypothesis("beta(1,%d,%d) = %d >= 0" % (d, v, beta)))
                 witnesses = {"branch": "rank1-general", "beta": beta}
             else:
                 boundary = d == 2 * g + 2 * c
@@ -901,10 +906,9 @@ def s_nonempty(
                         "non-hyperelliptic curve"
                     )
                 citation, level = CITE_MISTRETTA, "smooth"
-                hypotheses = [
-                    Hypothesis(
-                        "codimension c = (d-g+1) - v = %d lies in [1, %d]" % (c, g)
-                    ),
+                hypotheses += [
+                    Hypothesis("codimension c = (d-g+1) - v = %d lies in [1, %d]"
+                               % (c, g)),
                     Hypothesis("d = %d >= 2g+2c = %d" % (d, 2 * g + 2 * c)),
                 ]
                 witnesses = {"branch": "rank1-mistretta", "c": c}
@@ -921,13 +925,10 @@ def s_nonempty(
                 notes=notes,
             )
     fact = facts.find_s(g, n, d, v)
-    if fact is not None:
-        return _fact_certificate(fact, curve)
-    _diag(
-        diagnostics,
-        "no rule or fact certifies S(%d,%d,%d) on this curve" % (n, d, v),
-    )
-    return None
+    if not _check(hypotheses, diagnostics, fact is not None, None,
+                  "no rule or fact certifies S({0},{1},{2}) on this curve", n, d, v):
+        return None
+    return _fact_certificate(fact, curve)
 
 
 def _certify_b(
@@ -935,10 +936,12 @@ def _certify_b(
     n1: int,
     d1: int,
     k1: int,
-    facts: FactDatabase,
+    facts: FactDatabase | None,
     diagnostics: Optional[list[str]],
 ) -> Certificate | None:
-    """Sub-certificate dispatcher for B(n1, d1, k1)."""
+    """Sub-certificate dispatcher for B(n1, d1, k1).  It resolves the default
+    fact database, so the rules that call it pass `facts` on unresolved."""
+    facts = facts if facts is not None else FactDatabase()
     if n1 == 1:
         cert = bn_line_nonempty(curve, d1, k1, diagnostics=diagnostics)
         if cert is not None:
@@ -948,13 +951,10 @@ def _certify_b(
         if cert is not None:
             return cert
     fact = facts.find_b(curve.genus, n1, d1, k1)
-    if fact is not None:
-        return _fact_certificate(fact, curve)
-    _diag(
-        diagnostics,
-        "no rule or fact certifies B(%d,%d,%d) on this curve" % (n1, d1, k1),
-    )
-    return None
+    if not _check([], diagnostics, fact is not None, None,
+                  "no rule or fact certifies B({0},{1},{2}) on this curve", n1, d1, k1):
+        return None
+    return _fact_certificate(fact, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -991,45 +991,35 @@ def _dual_span_rule(
     """
     n1, d1, k1 = _locus(locus1)
     n, d, v = _cs(cs)
-    facts = facts if facts is not None else FactDatabase()
     if r is not None and r < 1:
         raise ValueError("fold count must be positive, got %r" % (r,))
     elem = rule == "elem"
-    if v <= n:
-        _diag(diagnostics, "the generated system must have v > n")
-        return None
-    if elem and d % (v - n) != 0:
-        _diag(
-            diagnostics,
-            "elementary transformation requires (v-n) | d, got d=%d, v-n=%d"
-            % (d, v - n),
-        )
-        return None
-    if not n * d1 < n1 * d:
-        _diag(
-            diagnostics,
-            "slope condition fails: need n*d1 < n1*d, got %d >= %d"
-            % (n * d1, n1 * d),
-        )
+    hypotheses: list[Hypothesis] = []
+    if not (
+        _check(hypotheses, diagnostics, v > n,
+               None if elem else "generated system has v = {0} > n = {1}",
+               "the generated system must have v > n", v, n)
+        and (not elem or _check(
+            hypotheses, diagnostics, d % (v - n) == 0,
+            "degree divisibility (v-n) | d: {1} | {0}",
+            "elementary transformation requires (v-n) | d, got d={0}, v-n={1}",
+            d, v - n))
+        and _check(hypotheses, diagnostics, n * d1 < n1 * d,
+                   "slope condition n*d1 = {0} < n1*d = {1}",
+                   "slope condition fails: need n*d1 < n1*d, got {0} >= {1}",
+                   n * d1, n1 * d)
+    ):
         return None
     sub_b = _certify_b(curve, n1, d1, k1, facts, diagnostics)
-    if sub_b is None:
-        return None
-    if elem and sub_b.conclusion.strength != "stable":
-        _diag(diagnostics, "the elementary transformation needs a stable E1")
+    if sub_b is None or (elem and not _check(
+            hypotheses, diagnostics, sub_b.conclusion.strength == "stable", None,
+            "the elementary transformation needs a stable E1")):
         return None
     sub_s = s_nonempty(curve, cs, facts, diagnostics=diagnostics)
-    if sub_s is None:
+    if sub_s is None or (elem and not _check(
+            hypotheses, diagnostics, sub_s.conclusion.strength == "stable", None,
+            "the elementary transformation needs stable dual spans")):
         return None
-    if elem and sub_s.conclusion.strength != "stable":
-        _diag(diagnostics, "the elementary transformation needs stable dual spans")
-        return None
-    hypotheses = [
-        Hypothesis("degree divisibility (v-n) | d: %d | %d" % (v - n, d))
-        if elem
-        else Hypothesis("generated system has v = %d > n = %d" % (v, n)),
-        Hypothesis("slope condition n*d1 = %d < n1*d = %d" % (n * d1, n1 * d)),
-    ]
     notes = []
     if rule == "phi":
         citation, target = CITE_PHI, dual_span_type(cs)
@@ -1149,26 +1139,24 @@ def certify_t9(
     mu1 < d/(v-n).
     """
     n1, d1, k1 = _locus(locus1)
-    if not curve.satisfies("general"):
-        _diag(diagnostics, "this construction needs a general curve")
-        return None
     g = curve.genus
-    if not d > n * g:
-        _diag(diagnostics, "need d > n*g, got d=%d, n*g=%d" % (d, n * g))
+    hypotheses: list[Hypothesis] = []
+    if not (
+        _check(hypotheses, diagnostics, curve.satisfies("general"), None,
+               "this construction needs a general curve")
+        and _check(hypotheses, diagnostics, d > n * g, "d = {0} > n*g = {1}",
+                   "need d > n*g, got d={0}, n*g={1}", d, n * g)
+        and _check(hypotheses, diagnostics, n < v, None,
+                   "need v > n, got v={0}, n={1}", v, n)
+        and _check(hypotheses, diagnostics, v <= d - n * (g - 1),
+                   "n = {2} < v = {0} <= d - n*(g-1) = {1}",
+                   "need v <= d - n*(g-1), got v={0}, bound={1}",
+                   v, d - n * (g - 1), n)
+    ):
         return None
-    if not n < v:
-        _diag(diagnostics, "need v > n, got v=%d, n=%d" % (v, n))
-        return None
-    if not v <= d - n * (g - 1):
-        _diag(
-            diagnostics,
-            "need v <= d - n*(g-1), got v=%d, bound=%d" % (v, d - n * (g - 1)),
-        )
-        return None
-    mu1 = Fraction(d1, n1)
-    mu2 = Fraction(d, v - n)
-    if not mu1 < mu2:
-        _diag(diagnostics, "need mu1 < mu2, got %s >= %s" % (mu1, mu2))
+    mu1, mu2 = Fraction(d1, n1), Fraction(d, v - n)
+    if not _check(hypotheses, diagnostics, mu1 < mu2, "slope gap mu1 = {0} < mu2 = {1}",
+                  "need mu1 < mu2, got {0} >= {1}", mu1, mu2):
         return None
     beta = beta_twisted(g, (v - n, d), (n1, d1), v)
     conclusion = Conclusion(
@@ -1179,11 +1167,7 @@ def certify_t9(
         citation=CITE_T9,
         conclusion=conclusion,
         beta=beta,
-        hypotheses=[
-            Hypothesis("d = %d > n*g = %d" % (d, n * g)),
-            Hypothesis("n = %d < v = %d <= d - n*(g-1) = %d" % (n, v, d - n * (g - 1))),
-            Hypothesis("slope gap mu1 = %s < mu2 = %s" % (mu1, mu2)),
-        ],
+        hypotheses=hypotheses,
         witnesses={"k1k2": k1 * v, "beta": beta},
         own_level="general",
         curve=curve,
@@ -1229,7 +1213,6 @@ def certify_t4(
     explicit degree threshold beyond which the BN number of the family is
     negative.
     """
-    facts = facts if facts is not None else FactDatabase()
     if n1 < 2 or k1 <= n1:
         raise ValueError("requires k1 > n1 >= 2, got k1=%r n1=%r" % (k1, n1))
     if n < 1:
@@ -1237,25 +1220,22 @@ def certify_t4(
     g = curve.genus
     lower = n * (g - 1) * (k1 - n1) + n * d1 + f * k1
     upper = d * (k1 - n1)
-    if not lower <= e:
-        _diag(
-            diagnostics,
-            "excess window lower bound fails: need %d <= e, got e=%d" % (lower, e),
-        )
-        return None
-    if not e < upper:
-        _diag(
-            diagnostics,
-            "excess window upper bound fails: need e < %d, got e=%d" % (upper, e),
-        )
+    n2 = d - n * g - f
+    hypotheses: list[Hypothesis] = []
+    if not (
+        _check(hypotheses, diagnostics, lower <= e,
+               "excess window lower bound {0} <= e = {1}",
+               "excess window lower bound fails: need {0} <= e, got e={1}", lower, e)
+        and _check(hypotheses, diagnostics, e < upper,
+                   "excess window upper bound e = {0} < {1} (so k >= 1)",
+                   "excess window upper bound fails: need e < {1}, got e={0}", e, upper)
+        and _check(hypotheses, diagnostics, n2 >= 1, "kernel rank v - n = {0} >= 1",
+                   "kernel rank v - n = {0} is not positive", n2)
+    ):
         return None
     v = d - n * (g - 1) - f
-    n2 = d - n * g - f
     d2 = -d
     k = d * (k1 - n1) - e
-    if n2 < 1:
-        _diag(diagnostics, "kernel rank v - n = %d is not positive" % (n2,))
-        return None
     if k < 1:
         raise AssertionError("the excess window guarantees k >= 1")
     sub_b = _certify_b(curve, n1, d1, k1, facts, diagnostics)
@@ -1265,18 +1245,14 @@ def certify_t4(
     if sub_s is None:
         return None
     mu_tensor = Fraction(d1, n1) + Fraction(d, n)
-    h1_auto = mu_tensor > 2 * g - 2
-    if h1_auto:
-        h1_hyp = Hypothesis(
+    if mu_tensor > 2 * g - 2:
+        hypotheses.append(Hypothesis(
             "slope of E1 tensor E is %s > 2g-2 = %d, forcing h^1 = 0"
-            % (mu_tensor, 2 * g - 2)
-        )
+            % (mu_tensor, 2 * g - 2)))
     else:
-        h1_hyp = Hypothesis(
+        hypotheses.append(Hypothesis(
             "there exists E1 in B(%d,%d,%d) with h^1(E1 tensor E) = 0"
-            % (n1, d1, k1),
-            status="assumed",
-        )
+            % (n1, d1, k1), status="assumed"))
     beta = beta_universal(g, (n1, d1), (n2, d2), k)
     poly = t4_beta_poly(g, n1, d1, k1, n, e, f)
     threshold = quad_neg_threshold(*poly)
@@ -1290,12 +1266,7 @@ def certify_t4(
         citation=CITE_T4,
         conclusion=conclusion,
         beta=beta,
-        hypotheses=[
-            Hypothesis("excess window lower bound %d <= e = %d" % (lower, e)),
-            Hypothesis("excess window upper bound e = %d < %d (so k >= 1)" % (e, upper)),
-            Hypothesis("kernel rank v - n = %d >= 1" % (n2,)),
-            h1_hyp,
-        ],
+        hypotheses=hypotheses,
         subcertificates=[sub_b, sub_s],
         witnesses={
             "k": k,
@@ -1346,44 +1317,34 @@ def _kernel_line(
     k1: int,
     c: int,
     d: int,
+    hypotheses: list[Hypothesis],
     diagnostics: Optional[list[str]],
-) -> tuple[str, list[Hypothesis], int] | None:
+) -> tuple[str, int] | None:
     """Shared prelude of t10 and c8: the kernel of a general codimension-c
     subspace of sections of a degree-d line bundle (Mistretta).
 
     Raises unless k1 > n1 >= 2 and 1 <= c <= g.  Returns None when
-    d < 2g+2c; otherwise the strength the kernel supports (semistable at the
-    boundary d = 2g+2c unless the curve is known non-hyperelliptic), the
-    codimension and degree hypotheses, and the kernel rank d-g-c, which
-    d >= 2g+2c makes at least g+c >= 3.
+    d < 2g+2c; otherwise records the codimension and degree hypotheses and
+    returns the strength the kernel supports (semistable at the boundary
+    d = 2g+2c unless the curve is known non-hyperelliptic) and the kernel
+    rank d-g-c, which d >= 2g+2c makes at least g+c >= 3.
     """
     if n1 < 2 or k1 <= n1:
         raise ValueError("requires k1 > n1 >= 2, got k1=%r n1=%r" % (k1, n1))
     g = curve.genus
-    if not 1 <= c <= g:
+    if not _check(hypotheses, None, 1 <= c <= g,
+                  "codimension c = {0} lies in [1, {1}]", None, c, g):
         raise ValueError("codimension c must lie in [1, g], got %r" % (c,))
-    degree_floor = 2 * g + 2 * c
-    if d < degree_floor:
-        _diag(
-            diagnostics,
-            "degree condition fails: need d >= 2g+2c = %d, got d=%d"
-            % (degree_floor, d),
-        )
+    floor = 2 * g + 2 * c
+    boundary = d == floor
+    if not _check(hypotheses, diagnostics, d >= floor,
+                  "d = {0} = 2g+2c (boundary case)" if boundary
+                  else "d = {0} > 2g+2c = {1}",
+                  "degree condition fails: need d >= 2g+2c = {1}, got d={0}",
+                  d, floor):
         return None
-    boundary = d == degree_floor
-    mistretta_strength = (
-        "semistable" if boundary and curve.hyperelliptic != "no" else "stable"
-    )
-    degree_hyp = (
-        "d = %d > 2g+2c = %d" % (d, degree_floor)
-        if not boundary
-        else "d = %d = 2g+2c (boundary case)" % (d,)
-    )
-    hypotheses = [
-        Hypothesis("codimension c = %d lies in [1, %d]" % (c, g)),
-        Hypothesis(degree_hyp),
-    ]
-    return mistretta_strength, hypotheses, d - g - c
+    return ("semistable" if boundary and curve.hyperelliptic != "no"
+            else "stable"), d - g - c
 
 
 CITE_T10 = (
@@ -1412,22 +1373,21 @@ def certify_t10(
     non-hyperelliptic.  The section count must satisfy
     k <= (d-g+1)(k1-n1) - c*k1 - d1, and B(n1, d1, k1) must be certified.
     """
-    facts = facts if facts is not None else FactDatabase()
-    line = _kernel_line(curve, n1, k1, c, d, diagnostics)
+    hypotheses: list[Hypothesis] = []
+    line = _kernel_line(curve, n1, k1, c, d, hypotheses, diagnostics)
     if line is None:
         return None
-    mistretta_strength, hypotheses, n2 = line
+    mistretta_strength, n2 = line
     g = curve.genus
     max_k = (d - g + 1) * (k1 - n1) - c * k1 - d1
-    if not k <= max_k:
-        _diag(
-            diagnostics,
-            "section bound fails: need k <= %d, got k=%d" % (max_k, k),
-        )
+    if not (
+        _check(hypotheses, diagnostics, k <= max_k, "section bound k = {0} <= {1}",
+               "section bound fails: need k <= {1}, got k={0}", k, max_k)
+        and _check(hypotheses, diagnostics, k >= 1, None,
+                   "section count k must be at least 1")
+    ):
         return None
-    if k < 1:
-        _diag(diagnostics, "section count k must be at least 1")
-        return None
+    hypotheses.append(Hypothesis("kernel rank d-g-c = %d >= 1" % (n2,)))
     d2 = -d
     sub_b = _certify_b(curve, n1, d1, k1, facts, diagnostics)
     if sub_b is None:
@@ -1450,10 +1410,7 @@ def certify_t10(
         citation=CITE_T10,
         conclusion=conclusion,
         beta=beta,
-        hypotheses=hypotheses + [
-            Hypothesis("section bound k = %d <= %d" % (k, max_k)),
-            Hypothesis("kernel rank d-g-c = %d >= 1" % (n2,)),
-        ],
+        hypotheses=hypotheses,
         subcertificates=[sub_b],
         witnesses={
             "k": k,
@@ -1509,15 +1466,15 @@ def certify_c8(
     genus 11 at n1 = 8, where it reaches d1 = 25 and the corollary stops at
     24.
     """
-    facts = facts if facts is not None else FactDatabase()
-    line = _kernel_line(curve, n1, k1, c, d, diagnostics)
+    hypotheses: list[Hypothesis] = []
+    line = _kernel_line(curve, n1, k1, c, d, hypotheses, diagnostics)
     if line is None:
         return None
-    mistretta_strength, hypotheses, n2 = line
+    mistretta_strength, n2 = line
     g = curve.genus
     k = d * (k1 - n1) - e
-    if k < 1:
-        _diag(diagnostics, "excess too large: k = d*(k1-n1) - e = %d < 1" % (k,))
+    if not _check(hypotheses, diagnostics, k >= 1, None,
+                  "excess too large: k = d*(k1-n1) - e = {0} < 1", k):
         return None
     d2 = -d
     beta = beta_universal(g, (n1, d1), (n2, d2), k)
@@ -1547,23 +1504,16 @@ def certify_c8(
         # Non-divisibility branch.
         branch, citation, own_level = "non-divisible", CITE_C8_I, "smooth"
         e_bound = (g - 1) * (k1 - n1) + c * k1 + d1
-        if d1 % n1 == 0:
-            _diag(
-                diagnostics,
-                "no branch applies: d1 = %d is divisible by n1 = %d and the "
-                "Petri-window branch did not fire" % (d1, n1),
-            )
+        if not (
+            _check(hypotheses, diagnostics, d1 % n1 != 0,
+                   "d1 = {0} is not divisible by n1 = {1}",
+                   "no branch applies: d1 = {0} is divisible by n1 = {1} and the "
+                   "Petri-window branch did not fire", d1, n1)
+            and _check(hypotheses, diagnostics, e >= e_bound,
+                       "excess bound e = {0} >= {1}",
+                       "excess bound fails: need e >= {1}, got e={0}", e, e_bound)
+        ):
             return None
-        if e < e_bound:
-            _diag(
-                diagnostics,
-                "excess bound fails: need e >= %d, got e=%d" % (e_bound, e),
-            )
-            return None
-        hypotheses += [
-            Hypothesis("d1 = %d is not divisible by n1 = %d" % (d1, n1)),
-            Hypothesis("excess bound e = %d >= %d" % (e, e_bound)),
-        ]
         sub_b = _certify_b(curve, n1, d1, k1, facts, None)
         if sub_b is None:
             hypotheses.append(
