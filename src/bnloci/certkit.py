@@ -136,18 +136,13 @@ class CurveClass(namedtuple("CurveClass", "genus level hyperelliptic")):
             raise ValueError(
                 "curve must look like level:genus[,hyp|nonhyp], got %r" % (text,)
             )
-        genus, *flags = tail.split(",")
+        genus, comma, flag = tail.partition(",")
         genus = _ascii_int(genus)
-        if len(flags) > 1:
+        if "," in flag:
             raise ValueError("curve takes at most one flag, got %r" % (text,))
-        hyper = "unknown"
-        for flag in flags:
-            if flag == "hyp":
-                hyper = "yes"
-            elif flag == "nonhyp":
-                hyper = "no"
-            else:
-                raise ValueError("unknown curve flag %r" % (flag,))
+        hyper = {"hyp": "yes", "nonhyp": "no"}.get(flag) if comma else "unknown"
+        if hyper is None:
+            raise ValueError("unknown curve flag %r" % (flag,))
         return cls(genus=genus, level=head, hyperelliptic=hyper)
 
     def to_dict(self) -> dict:
@@ -375,15 +370,14 @@ BUILTIN_FACTS: tuple[Fact, ...] = (
         builtin=True,
     ),
 )
+_BUILTIN_KEYS = frozenset(f.key() for f in BUILTIN_FACTS)
 
 
 class FactDatabase:
     """Built-in facts merged with user facts; built-ins win on conflicts."""
 
     def __init__(self, user_facts: tuple[Fact, ...] | list[Fact] = ()) -> None:
-        self._builtin = list(BUILTIN_FACTS)
-        builtin_keys = {f.key() for f in self._builtin}
-        self._user = [f for f in user_facts if f.key() not in builtin_keys]
+        self._user = [f for f in user_facts if f.key() not in _BUILTIN_KEYS]
 
     @classmethod
     def load(cls, path: str | Path | None = None) -> "FactDatabase":
@@ -411,8 +405,7 @@ class FactDatabase:
         Path(path).write_text(dumps_indented(records) + "\n", encoding="utf-8")
 
     def add(self, fact: Fact) -> None:
-        builtin_keys = {f.key() for f in self._builtin}
-        if fact.key() in builtin_keys:
+        if fact.key() in _BUILTIN_KEYS:
             raise ValueError(
                 "fact %s conflicts with a built-in fact" % fact.describe()
             )
@@ -421,22 +414,19 @@ class FactDatabase:
         self._user.append(fact)
 
     def facts(self) -> list[Fact]:
-        return list(self._builtin) + list(self._user)
+        return list(BUILTIN_FACTS) + self._user
 
-    def _find(self, kinds: tuple[str, ...], genus: int, n: int, d: int, sections: int):
+    def _find(self, kind: str, genus: int, n: int, d: int, sections: int):
         for fact in self.facts():
-            if fact.kind in kinds and fact.matches(genus, n, d, sections):
+            if fact.kind == kind and fact.matches(genus, n, d, sections):
                 return fact
         return None
 
     def find_s(self, genus: int, n: int, d: int, v: int) -> Fact | None:
-        return self._find(("S",), genus, n, d, v)
+        return self._find("S", genus, n, d, v)
 
     def find_b(self, genus: int, n: int, d: int, k: int) -> Fact | None:
-        found = self._find(("B",), genus, n, d, k)
-        if found is not None:
-            return found
-        return self._find(("Btilde",), genus, n, d, k)
+        return self._find("B", genus, n, d, k) or self._find("Btilde", genus, n, d, k)
 
 
 class Hypothesis(namedtuple("Hypothesis", "description status")):
@@ -1139,6 +1129,8 @@ def certify_t9(
     mu1 < d/(v-n).
     """
     n1, d1, k1 = _locus(locus1)
+    if n < 1:
+        raise ValueError("rank n must be positive, got %r" % (n,))
     g = curve.genus
     hypotheses: list[Hypothesis] = []
     if not (
@@ -1477,6 +1469,8 @@ def certify_c8(
                   "excess too large: k = d*(k1-n1) - e = {0} < 1", k):
         return None
     d2 = -d
+    # Both branches: at the Petri window's k1 = n1+1 this is g-1 + c*(n1+1) + d1.
+    e_bound = (g - 1) * (k1 - n1) + c * k1 + d1
     beta = beta_universal(g, (n1, d1), (n2, d2), k)
     witnesses = {
         "k": k,
@@ -1491,7 +1485,6 @@ def certify_c8(
     if k1 == n1 + 1 and curve.satisfies("petri"):
         lower = line_bn_degree_bound(g, n1)
         upper = _petri_f_bound(g, n1)
-        e_bound = g - 1 + c * (n1 + 1) + d1
         if lower <= d1 and d1 < upper and e >= e_bound:
             sub_b = bn_np1_nonempty(curve, n1, d1, facts, diagnostics=diagnostics)
     if sub_b is not None:
@@ -1503,7 +1496,6 @@ def certify_c8(
     else:
         # Non-divisibility branch.
         branch, citation, own_level = "non-divisible", CITE_C8_I, "smooth"
-        e_bound = (g - 1) * (k1 - n1) + c * k1 + d1
         if not (
             _check(hypotheses, diagnostics, d1 % n1 != 0,
                    "d1 = {0} is not divisible by n1 = {1}",
@@ -1603,11 +1595,11 @@ def revalidate(cert: Certificate, facts: FactDatabase | None = None) -> bool:
         return False
     try:
         if rule is None:
-            fact = facts._find((inputs["kind"],), cert.curve.genus, inputs["n"],
+            fact = facts._find(inputs["kind"], cert.curve.genus, inputs["n"],
                                inputs["d"], inputs["sections"])
             fresh = None if fact is None else _fact_certificate(fact, cert.curve)
         else:
             fresh = run_rule(cert.rule, cert.curve, inputs, facts)
-    except ValueError:
+    except (TypeError, ValueError):
         return False
     return fresh == cert

@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--locus1", default="6,22,7")
     p_sweep.add_argument("--n1", type=_ascii_int)
     p_sweep.add_argument("--n2", default=None, help="range a..b or single value")
-    p_sweep.add_argument("--family", choices=("dmin",), default="dmin")
     p_sweep.add_argument("--boundary", help="boundary CSV of mu,lambda samples")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -146,6 +146,8 @@ def test_petri_cases_c_and_d_need_user_facts(facts):
     assert "c" in with_facts  # 31 = 10 + 3*7
     with_facts_d = _petri_case_labels(curve, 5, 26, _db_with_aux(9, 5))
     assert "d" in with_facts_d  # base degree 10 = 2*5, 26 = 1 mod 5
+    # the same fact cited for genus 8 does not serve genus 9
+    assert "d" not in _petri_case_labels(curve, 5, 26, _db_with_aux(8, 5))
 
 
 def _db_with_aux(genus, n1):
@@ -338,6 +340,9 @@ def test_t9_example_and_gates():
     assert certify_t9(curve, (2, 5, 2), 2, 12, 2) is None  # v = n
     assert certify_t9(curve, (2, 5, 2), 2, 8, 5) is None  # d = n*g
     assert certify_t9(CurveClass(4, "petri"), (2, 5, 2), 2, 12, 5) is None
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="rank n must be positive, got %d" % n):
+            certify_t9(curve, (2, 5, 2), n, 20, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +581,23 @@ def test_fact_database_save_load(tmp_path):
     # a Btilde fact backs only a semistable conclusion
     cert = again.find_b(5, 3, 12, 4)
     assert cert is not None and cert.kind == "Btilde"
+    # no rule covers B(2, 9, 4), so phi's B leaf is the Btilde fact
+    btilde = Fact(kind="Btilde", n=2, sections=4, degree=9, citation="user Btilde")
+    again.add(btilde)
+    phi = certify_phi(CurveClass(7, "general"), (2, 9, 4), (2, 10, 4), again)
+    leaf = phi.subcertificates[0]
+    assert (leaf.rule, leaf.inputs["kind"]) == ("fact", "Btilde")
+    assert (leaf.conclusion.kind, leaf.conclusion.strength) == ("bn", "semistable")
+    assert phi.conclusion.strength == "semistable"
+    # a user B fact wins over the Btilde fact of its type added before it
+    b = Fact(kind="B", n=2, sections=4, degree=9, citation="user B")
+    again.add(b)
+    assert again.find_b(7, 2, 9, 4) == b
+    # built-ins first, then user facts in insertion order, in a new list
+    listed = again.facts()
+    assert listed == [*BUILTIN_FACTS, user[0], btilde, b]
+    listed.clear()
+    assert again.facts() == [*BUILTIN_FACTS, user[0], btilde, b]
 
 
 def test_genus_constraint_matching():
@@ -595,6 +617,19 @@ BUILTIN_B_REPR = (
     "level='general', genus=GenusConstraint(equals=6, minimum=None, parity=None), "
     "citation='non-emptiness of B(2, 10, 5) on a general curve of genus 6', "
     "builtin=True)"
+)
+CERTIFICATE_FIELDS = dict(
+    rule="phi", citation="c", conclusion=Conclusion("bn", "stable"), beta=1,
+    hypotheses=[Hypothesis("h")], subcertificates=[], status="proved",
+    witnesses={"w": 1}, level_required="general", curve=CurveClass(7, "general"),
+    notes=["n"], inputs={"d": 2})
+CERTIFICATE_REPR = (
+    "Certificate(rule='phi', citation='c', conclusion=Conclusion(kind='bn', "
+    "strength='stable', n1=None, d1=None, n2=None, d2=None, k=None), beta=1, "
+    "hypotheses=[Hypothesis(description='h', status='checked')], "
+    "subcertificates=[], status='proved', witnesses={'w': 1}, "
+    "level_required='general', curve=CurveClass(genus=7, level='general', "
+    "hyperelliptic='unknown'), notes=['n'], inputs={'d': 2})"
 )
 
 # class; every field in order; the defaults a keyword call may leave out; a
@@ -660,11 +695,8 @@ VALUE_CLASSES = [
          (dict(samples=((2, 0), (1, 1))), "boundary samples must be strictly increasing in mu")],
         None, id="RegionBoundary"),
     pytest.param(
-        Certificate, dict(rule="phi", citation="c", conclusion=Conclusion("bn", "stable"),
-                          beta=1, hypotheses=[Hypothesis("h")], subcertificates=[],
-                          status="proved", witnesses={"w": 1}, level_required="general",
-                          curve=CurveClass(7, "general"), notes=["n"], inputs={"d": 2}),
-        {}, dict(beta=2), [], None, id="Certificate"),
+        Certificate, CERTIFICATE_FIELDS, {}, dict(beta=2), [],
+        (Certificate(**CERTIFICATE_FIELDS), CERTIFICATE_REPR), id="Certificate"),
 ]
 
 
@@ -765,6 +797,7 @@ TAMPERINGS = {
     "input-missing": lambda c: c.inputs.popitem(),
     "input-added": lambda c: c.inputs.__setitem__("extra", 1),
     "input-rank-zero": _zero_rank,
+    "input-null": lambda c: c.inputs.__setitem__(list(c.inputs)[-1], None),
 }
 
 

@@ -217,8 +217,7 @@ def test_sweep_bnmap(capsys, tmp_path):
     boundary.write_text("mu,lambda\n3,1\n9,11/10\n", encoding="utf-8")
     code, out, _ = run(
         capsys, ["sweep", "bnmap", "--g", "10", "--locus1", "2,5,2",
-                 "--family", "dmin", "--n2", "5..8",
-                 "--boundary", str(boundary)],
+                 "--n2", "5..8", "--boundary", str(boundary)],
     )
     assert code == 0
     lines = out.splitlines()

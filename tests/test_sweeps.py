@@ -210,6 +210,11 @@ def test_classify_point_cases():
     assert on_sample == "inside"
     # outside the sampled range
     assert classify_point((Fraction(9), Fraction(5)), flat) == "unknown"
+    # a single sample is met only at its own mu
+    single = _boundary((3, 1))
+    assert classify_point((Fraction(3), Fraction(6, 5)), single) == "new"
+    assert classify_point((Fraction(3), Fraction(1)), single) == "inside"
+    assert classify_point((Fraction(4), Fraction(1)), single) == "unknown"
 
 
 def test_classify_point_monotone_in_lambda():
